@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Fast-path byte-identity smoke: the paper-scale fig5 artifacts must be
 # byte-for-byte identical between
-#   1. the default fast path (batched drain, vectorized scheduler,
+#   1. the default fast path (batched drain, steady-quantum memo,
 #      precompiled monitor sampling),
-#   2. the scalar/per-event reference path (REPRO_SIM_SLOWPATH=1),
+#   2. the per-event reference path (REPRO_SIM_SLOWPATH=1),
 #   3. a parallel chunked run (--jobs 4 --chunk 2).
 #
 # Usage: bash scripts/fastpath_identity_smoke.sh   (from the repo root)

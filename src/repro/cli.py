@@ -36,11 +36,6 @@ Subcommands
     Datacenter-scale VOA-vs-VOU experiment over the sharded fleet
     simulator with streaming per-cell aggregation; artifacts are
     byte-identical at any ``--shards`` value and serial vs ``--jobs``.
-``repro bench [--fast] [--jobs N] [--chunk N] [--out FILE] [--compare BASELINE]``
-    Perf harness: run the fixed bench matrix serial / parallel / cold /
-    warm-cache and write a ``BENCH_<rev>.json`` record; ``--compare``
-    exits non-zero on a >20 % regression in ``events_per_sec`` or
-    ``parallel_speedup`` against a baseline record.
 ``repro obs summary|export|spans [--obs-dir DIR]``
     Inspect an observability directory written by ``--obs-dir``:
     ``summary`` prints per-source span/error/wall totals plus counter
@@ -61,8 +56,10 @@ crash-safety options: ``--run-dir DIR`` records a checkpointed run
 manifest, ``--resume DIR`` restores completed cells from one, and
 ``--cell-deadline`` / ``--cell-attempts`` tune the supervisor.
 ``--obs-dir DIR`` attaches the observability layer (metrics + spans)
-and exports it there after the run; without the flag nothing is
-recorded and output stays byte-identical.
+and exports it there after the run.  It only observes: the run steps
+the same quanta and monitor ticks as a plain run, and its output is
+byte-identical.  Wall-time benchmarking is not a subcommand; it lives
+in ``python3 perfbench/run.py``.
 
 Exit codes for the experiment commands: 0 when everything succeeded
 (including cells that needed retries -- those print a warning
@@ -253,34 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the runtime determinism sanitizer",
     )
     _add_perf_options(fleet_p)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="perf harness: serial/parallel/cold/warm bench matrix, "
-        "writes BENCH_<rev>.json",
-    )
-    bench_p.add_argument(
-        "--fast", action="store_true",
-        help="reduced matrix for CI smoke runs",
-    )
-    bench_p.add_argument(
-        "--jobs", type=int, default=0,
-        help="workers for the parallel phase (0 = all CPUs, default)",
-    )
-    bench_p.add_argument(
-        "--chunk", type=int, default=None, metavar="N",
-        help="cells per worker task in the parallel phase (0 = "
-        "cost-model default)",
-    )
-    bench_p.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default: BENCH_<rev>.json in the cwd)",
-    )
-    bench_p.add_argument(
-        "--compare", type=Path, default=None, metavar="BASELINE",
-        help="exit non-zero when events_per_sec or parallel_speedup "
-        "regresses more than 20%% against this baseline BENCH json",
-    )
 
     validate_p = sub.add_parser(
         "validate",
@@ -596,7 +565,7 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
         and getattr(args, "cell_attempts", None) is None
     ):
         # Only the experiment commands fan out through the executor;
-        # bench manages its own phases and cache has its own dispatch.
+        # cache has its own dispatch.
         return _dispatch(args)
     from repro.perf.cache import ResultCache
     from repro.perf.executor import execution_defaults
@@ -730,8 +699,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _obs_cmd(args)
     if args.command == "runs":
         return _runs(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "fleet":
         return _fleet(args)
     assert args.command == "all"
@@ -1020,57 +987,6 @@ def _obs_cmd(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    return 0
-
-
-def _bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.bench import (
-        compare_bench,
-        default_output_path,
-        run_bench,
-        write_bench,
-    )
-
-    baseline = None
-    if args.compare is not None:
-        try:
-            baseline = json.loads(args.compare.read_text())
-        except (OSError, ValueError) as exc:
-            print(
-                f"error: cannot read baseline {args.compare}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    record = run_bench(fast=args.fast, jobs=args.jobs, chunk=args.chunk)
-    out = args.out if args.out is not None else default_output_path()
-    write_bench(record, out)
-    metrics = record["metrics"]
-    print(f"wrote {out}")
-    for key in (
-        "events_per_sec",
-        "cells_per_sec",
-        "parallel_speedup",
-        "cache_warm_speedup",
-        "cache_hit_rate",
-    ):
-        print(f"  {key:<20} {metrics[key]:.3f}")
-    if baseline is not None:
-        problems = compare_bench(record, baseline)
-        if problems:
-            for problem in problems:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            print(
-                f"bench: regression against {args.compare} "
-                f"(baseline rev {baseline.get('revision', '?')})",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"bench: no regression against {args.compare} "
-            f"(baseline rev {baseline.get('revision', '?')})"
-        )
     return 0
 
 

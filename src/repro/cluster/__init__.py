@@ -1,4 +1,10 @@
-"""Multi-PM testbed orchestration and the sharded fleet simulator."""
+"""Multi-PM testbed orchestration.
+
+The fleet-scale simulator lives in :mod:`repro.cluster.fleet` and is
+imported from there; it is not re-exported here, because it pulls in
+:mod:`repro.placement`, which itself depends on :mod:`repro.models` and
+:mod:`repro.monitor` -- both of which import this package.
+"""
 
 from repro.cluster.cluster import ROUTING_PRIORITY, Cluster
 from repro.cluster.deployment import (
@@ -9,23 +15,14 @@ from repro.cluster.deployment import (
     WorkloadRef,
     build_deployment,
 )
-from repro.cluster.fleet import FleetConfig, FleetSummary, run_fleet
-from repro.cluster.mailbox import CONTROL, Message, Outbox, merge_epoch
 
 __all__ = [
-    "CONTROL",
     "Cluster",
     "Deployment",
     "DeploymentSpec",
-    "FleetConfig",
-    "FleetSummary",
-    "Message",
-    "Outbox",
     "ROUTING_PRIORITY",
     "RubisRef",
     "VmPlacement",
     "WorkloadRef",
     "build_deployment",
-    "merge_epoch",
-    "run_fleet",
 ]

@@ -219,16 +219,15 @@ def generate_experiments_md(
         "cache — both byte-identical to a serial run (README § "
         "Parallel execution & caching). The numbers below were "
         "produced by the default fast-path simulation core (batched "
-        "event dispatch, steady-state quantum memo, vectorized "
-        "scheduler and monitor kernels — README § Performance); the "
-        "fast path only skips provably redundant work, so every figure "
-        "is byte-for-byte identical to the scalar reference path "
+        "event dispatch, steady-state quantum memo, precompiled "
+        "monitor sampling plan — README § Performance); the fast path "
+        "only skips provably redundant work, so every figure is "
+        "byte-for-byte identical to the reference path "
         "(`REPRO_SIM_SLOWPATH=1`), which CI re-proves on every push. "
-        "`repro bench` records the perf trajectory (`BENCH_<rev>."
-        "json`: events/sec, parallel speedup, cache hit rate) and "
-        "`repro bench --compare` gates regressions; wall-clock numbers "
-        "are machine-dependent, so only ratios are comparable across "
-        "hosts.",
+        "Wall time is measured by the benchmark in `perfbench/` "
+        "(`python3 perfbench/run.py`, see `perfbench/NOTES.md`); "
+        "wall-clock numbers are machine-dependent, so only ratios are "
+        "comparable across hosts.",
         "",
         "Runs are crash-safe: `--run-dir` checkpoints every completed "
         "cell behind checksummed artifacts and `--resume` (or `repro "
@@ -238,11 +237,13 @@ def generate_experiments_md(
         "",
         "Adding `--obs-dir DIR` records harness observability (metrics "
         "+ spans) alongside any run without changing a single output "
-        "byte; `repro obs summary` then shows per-source span counts, "
+        "byte or the work the run does (an observed run steps the same "
+        "quanta and counts the memoized ones in "
+        "`repro_xen_quantum_memo_hits_total`); `repro obs summary` "
+        "then shows per-source span counts, "
         "wall time, and error tallies. Interpret them as a profile of "
         "the *harness*, not the simulated system: wall seconds are "
-        "machine-dependent (compare ratios, like the README § "
-        "Observability bench guidance), sim-clock span stamps and "
+        "machine-dependent (compare ratios), sim-clock span stamps and "
         "counters such as `repro_sim_events_total` are deterministic "
         "and must not vary across hosts, and a nonzero `error(s)` "
         "column or `repro_supervisor_retries_total` means supervision "

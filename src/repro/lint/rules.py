@@ -621,11 +621,11 @@ class JustifiedNoqa(Rule):
     """REP011: suppressions in audited files must be narrow and justified.
 
     The files in ``noqa-justify`` are the sanctioned funnels through
-    which real time enters the tree (the profiler's ``wall_now``, the
-    supervisor's deadline clock).  Every ``# repro: noqa`` there must
-    name the code(s) it suppresses and say *why* after the bracket, so
-    each exemption stays an auditable one-liner instead of a blanket
-    waiver.  Detection lives in the engine on raw source lines -- this
+    which real time enters the tree (the obs runtime's ``wall_now``,
+    the supervisor's deadline clock).  Every ``# repro: noqa`` there
+    must name the code(s) it suppresses and say *why* after the
+    bracket, so each exemption stays an auditable one-liner instead of
+    a blanket waiver.  Detection lives in the engine on raw source lines -- this
     rule cannot be silenced by the very noqa comment it audits -- so
     ``check`` here is a no-op that exists to document the code in
     ``--list-rules``.

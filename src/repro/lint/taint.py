@@ -14,8 +14,8 @@ re-enqueued.
 
 A noqa at the funnel stops taint at the source: reads whose line is
 suppressed (``# repro: noqa[REP002] ...``) never seed the worklist,
-which is what makes the sanctioned funnels (``profiler.wall_now``,
-``obs.runtime.wall_now``) transparent to REP101.
+which is what makes the sanctioned funnels (``obs.runtime.wall_now``,
+the supervisor's deadline clock) transparent to REP101.
 """
 
 from __future__ import annotations

@@ -311,10 +311,11 @@ class MeasurementScript:
         reference path.
 
         The fast plan applies only to *clean* ticks -- no fault model,
-        no tool-failure probability, PM up, observability off, fast path
-        enabled.  Anything else (including a crashed PM mid-run) routes
-        through the reference implementation, whose gap/carry-forward
-        machinery appends to the very same sample lists.
+        no tool-failure probability, PM up, fast path enabled.  Anything
+        else (including a crashed PM mid-run) routes through the
+        reference implementation, whose gap/carry-forward machinery
+        appends to the very same sample lists.  Observability does not
+        pick the path: both count the tick.
         """
         if (
             self._faults is None
@@ -325,7 +326,6 @@ class MeasurementScript:
             # this way) must keep being called.
             and not any("read" in t.__dict__ for t in self._tools)
             and not _fastpath.slowpath_enabled()
-            and _obs.installed() is None
         ):
             self._sample_fast(now)
             return
@@ -401,6 +401,7 @@ class MeasurementScript:
             l_pm_bw,
         ) = plan
         self._times.append(now)
+        _obs.inc("repro_monitor_ticks_total", pm=pm.name)
         self._valid.append(True)
         self._unseeded_tick = False
         self._corrupt_tick = False

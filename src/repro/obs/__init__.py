@@ -1,11 +1,12 @@
 """Deterministic-safe observability: metrics, spans, exporters.
 
 The paper is a profiling study; this package lets the reproduction
-profile *itself* without perturbing it.  It follows the same contract
-as :class:`repro.sim.tracing.SimTracer`: **nothing is recorded unless a
+profile *itself* without perturbing it.  **Nothing is recorded unless a
 collector is installed**, so instrumented hot paths cost one global
-read when observability is off and runs stay byte-identical to an
-uninstrumented build.
+read when observability is off.  An installed collector only observes:
+the run executes the same quanta, memo hits and monitor ticks as a
+plain run (skipped quanta are counted, not re-run), so its artifacts
+are byte-identical.
 
 Three layers:
 
@@ -21,7 +22,7 @@ Three layers:
 :mod:`repro.obs.runtime` owns the process-wide collector plus the cheap
 ``inc`` / ``set_gauge`` / ``observe`` / ``span`` helpers components
 call; it is the only module here allowed to read the wall clock
-(REP011-audited funnel, like :func:`repro.perf.profiler.wall_now`).
+(the REP011-audited funnel :func:`repro.obs.runtime.wall_now`).
 """
 
 from repro.obs.export import (

@@ -2,10 +2,11 @@
 
 Components never hold a registry; they call the module-level helpers
 (:func:`inc`, :func:`set_gauge`, :func:`observe`, :func:`span`), which
-are cheap no-ops unless a collector is :func:`install`-ed -- the exact
-zero-overhead-when-uninstalled contract of
-:class:`repro.sim.tracing.SimTracer`, made process-wide the way
-:mod:`repro.sim.sanitize` publishes its default.
+are cheap no-ops unless a collector is :func:`install`-ed.  The
+collector (one registry plus one
+:class:`~repro.obs.spans.SpanRecorder`, the project's only span log)
+is process-wide, published the way :mod:`repro.sim.sanitize`
+publishes its default.
 
 ``default_enabled`` / ``set_default`` carry the *intent* to collect
 across process boundaries: a pool worker that sees the flag installs
@@ -15,9 +16,9 @@ report the same metrics a serial run would.
 
 This module is the sole sanctioned wall-clock reader of the package:
 :func:`wall_now` is the REP011-audited funnel every span stamp flows
-through, the same precedent as :func:`repro.perf.profiler.wall_now`.
-Observability never touches a random stream and never schedules an
-event, so enabling it cannot change what a run computes.
+through.  Observability never touches a random stream, never schedules an event
+and never selects a code path, so enabling it cannot change what a run
+computes or how it computes it.
 """
 
 from __future__ import annotations

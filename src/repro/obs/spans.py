@@ -3,11 +3,9 @@
 A :class:`Span` is one timed region of work -- a simulator run, a cell
 execution, a monitor window, a placement round -- stamped with
 wall-clock start/end always and sim-clock start/end when a simulator
-was in scope.  :class:`SpanRecorder` keeps a bounded, filterable log of
-finished spans under exactly the contract of
-:class:`repro.sim.tracing.SimTracer`: bounded capacity with
-oldest-first eviction, optional source filtering, and counters that
-keep running regardless.
+was in scope.  :class:`SpanRecorder` is the project's one span log:
+bounded capacity with oldest-first eviction, optional source
+filtering, and counters that keep running regardless.
 """
 
 from __future__ import annotations

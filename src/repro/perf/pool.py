@@ -24,7 +24,7 @@ Lifecycle:
   broken pool's workers -- the next :func:`get_pool` builds fresh,
   which is exactly the supervisor's rebuild path;
 * :func:`shutdown_pool` is the explicit clean shutdown (end of a CLI
-  invocation / bench run), with an ``atexit`` backstop for API users.
+  invocation / fuzz campaign), with an ``atexit`` backstop for API users.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _shutdown_one(pool: ProcessPoolExecutor, *, wait: bool) -> None:
 
 
 def shutdown_pool() -> None:
-    """Explicitly shut the warm pool down (end of invocation / bench).
+    """Explicitly shut the warm pool down (end of invocation / campaign).
 
     Idempotent and safe to double-fire: the explicit CLI shutdown and
     the ``atexit`` backstop may both run, and either may race a pool

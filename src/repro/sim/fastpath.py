@@ -1,19 +1,20 @@
 """The process-wide fast-path/slow-path switch.
 
-The hot numeric and dispatch kernels each ship two interchangeable
+The hot dispatch and sampling kernels each ship two interchangeable
 implementations:
 
 * a **fast path** -- batched event drain in
   :class:`~repro.sim.engine.Simulator`, the steady-state quantum memo in
-  :class:`~repro.xen.machine.PhysicalMachine`, the vectorized
-  water-fill / credit top-up in :mod:`repro.xen.scheduler`, and the
-  precompiled monitor sampling plan in :mod:`repro.monitor.script`;
-* a **slow path** -- the original scalar/per-event reference
-  implementations, retained verbatim.
+  :class:`~repro.xen.machine.PhysicalMachine`, and the precompiled
+  monitor sampling plan in :mod:`repro.monitor.script`;
+* a **slow path** -- the original per-event / per-quantum / per-read
+  reference implementations, retained verbatim.
 
 Both paths are bit-for-bit identical by construction; the parity suite
 (``tests/xen/test_fastpath_parity.py`` and friends) asserts it, and the
-CI byte-identity job runs whole artifacts both ways.  The slow path is
+CI byte-identity job runs whole artifacts both ways.  Observability
+never selects a path: a run with an obs collector installed takes the
+fast path too and only counts what it does.  The slow path is
 selected process-wide with ``REPRO_SIM_SLOWPATH=1`` (read once at
 import) or, scoped, with :func:`force_slowpath` -- the knob exists so a
 suspected fast-path bug can be bisected in one environment variable.

@@ -245,17 +245,19 @@ class PhysicalMachine:
         # Steady-state memo: when no scheduler-visible input changed
         # since the grant feedback reached its fixed point, this quantum
         # recomputes bit-identical state -- skip it.  Disabled under
-        # REPRO_SIM_SLOWPATH (reference behaviour) and when observability
-        # is installed (the water-fill counters must keep counting).
-        # The guard reads the module globals directly: three function
-        # calls per 30 ms quantum are measurable at paper scale.
+        # REPRO_SIM_SLOWPATH (reference behaviour).  Observability only
+        # counts the skip, so CPU water-fills plus memo hits equal the
+        # quanta stepped.  The guard reads the module globals directly:
+        # three function calls per 30 ms quantum are measurable at paper
+        # scale.
         version = stateclock._version
         if (
             self._steady
             and version == self._steady_version
             and not _fastpath._slowpath
-            and _obs._collector is None
         ):
+            if _obs._collector is not None:
+                _obs.inc("repro_xen_quantum_memo_hits_total")
             return
         cal = self.cal
         vms = list(self._vms.values())

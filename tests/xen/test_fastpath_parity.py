@@ -1,133 +1,18 @@
-"""Scalar-vs-vectorized parity: both paths must be bitwise identical.
+"""Fast-path vs reference-path parity on whole simulated cells.
 
-The fast paths (numpy water-fill / credit top-up, the precompiled
-monitor sampling plan, the batched event drain) are only admissible
-because they reproduce the scalar reference implementations *bit for
-bit*.  These tests sweep property-style grids over the numeric kernels
-and whole simulated cells, comparing outputs with exact float equality
--- ``pytest.approx`` would hide exactly the bugs this suite exists to
-catch.
+The fast paths (the precompiled monitor sampling plan, the steady-state
+quantum memo, the batched event drain) are only admissible because they
+reproduce the reference implementations *bit for bit*.  These tests
+compare whole cells with exact float equality -- ``pytest.approx``
+would hide exactly the bugs this suite exists to catch.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.perf.cells import MicrobenchCell
 from repro.sim import fastpath
-from repro.xen.scheduler import (
-    VECTOR_MIN_N,
-    CreditScheduler,
-    _water_fill_scalar,
-    _water_fill_vector,
-    weighted_water_fill,
-)
-
-#: Client counts straddling the dispatch threshold on both sides.
-GRID_SIZES = (1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 64, 100)
-
-
-def _grid_case(n: int, variant: int):
-    """One deterministic random water-fill instance."""
-    rng = np.random.default_rng(1000 * n + variant)
-    limit = (rng.uniform(0.0, 100.0, size=n)).tolist()
-    if variant % 3 == 1:
-        # Sprinkle exact zeros: inactive clients exercise the active
-        # mask bookkeeping.
-        for i in range(0, n, 3):
-            limit[i] = 0.0
-    weights = rng.uniform(0.5, 8.0, size=n).tolist()
-    if variant % 2 == 0:
-        weights = [float(int(w) + 1) for w in weights]
-    capacity = float(rng.uniform(0.0, 1.2) * sum(limit))
-    return limit, weights, capacity
-
-
-class TestWaterFillParity:
-    @pytest.mark.parametrize("n", GRID_SIZES)
-    @pytest.mark.parametrize("variant", range(4))
-    def test_scalar_vector_bitwise_equal(self, n, variant):
-        limit, weights, capacity = _grid_case(n, variant)
-        scalar = _water_fill_scalar(limit, weights, capacity)
-        vector = _water_fill_vector(limit, weights, capacity)
-        assert scalar == vector  # exact: bitwise parity is the contract
-
-    @pytest.mark.parametrize(
-        "limit,weights,capacity",
-        [
-            ([0.0] * 20, [1.0] * 20, 50.0),
-            ([10.0] * 20, [1.0] * 20, 0.0),
-            ([10.0] * 20, [1.0] * 20, 1e6),
-            ([5.0, 0.0] * 10, [3.0, 1.0] * 10, 30.0),
-            # All clients saturate at the identical fill level.
-            ([7.0] * 24, [2.0] * 24, 24 * 7.0),
-        ],
-    )
-    def test_edge_cases_bitwise_equal(self, limit, weights, capacity):
-        scalar = _water_fill_scalar(limit, weights, capacity)
-        vector = _water_fill_vector(limit, weights, capacity)
-        assert scalar == vector
-
-    @pytest.mark.parametrize("n", (VECTOR_MIN_N, VECTOR_MIN_N + 9))
-    def test_public_entry_fast_vs_slowpath(self, n):
-        rng = np.random.default_rng(n)
-        demands = rng.uniform(0.0, 90.0, size=n).tolist()
-        weights = [float(w) for w in rng.integers(1, 9, size=n)]
-        caps = [0.0 if i % 4 else 40.0 for i in range(n)]
-        fast = weighted_water_fill(demands, weights, 300.0, caps)
-        with fastpath.force_slowpath():
-            slow = weighted_water_fill(demands, weights, 300.0, caps)
-        assert fast == slow
-
-    def test_conservation_and_bounds_on_vector_path(self):
-        limit, weights, capacity = _grid_case(40, 0)
-        granted = _water_fill_vector(limit, weights, capacity)
-        assert sum(granted) <= capacity + 1e-9
-        assert all(g <= lim + 1e-9 for g, lim in zip(granted, limit))
-
-
-def _credit_pair(n: int):
-    """Two identical schedulers, one per path."""
-    pair = []
-    for _ in range(2):
-        sched = CreditScheduler(ncpus=4)
-        rng = np.random.default_rng(n)
-        for k in range(n):
-            sched.add_vcpu(
-                f"v{k}",
-                weight=int(rng.integers(64, 512)),
-                cap_pct=float(rng.choice((0.0, 25.0, 60.0))),
-                demand_frac=float(rng.uniform(0.1, 1.0)),
-            )
-        pair.append(sched)
-    return pair
-
-
-class TestCreditTopUpParity:
-    @pytest.mark.parametrize("n", (VECTOR_MIN_N, 33))
-    def test_run_period_bitwise_equal(self, n):
-        fast_sched, slow_sched = _credit_pair(n)
-        for _ in range(10):
-            fast_sched.run_period()
-            with fastpath.force_slowpath():
-                slow_sched.run_period()
-            assert (
-                [v.credits for v in fast_sched.vcpus]
-                == [v.credits for v in slow_sched.vcpus]
-            )
-        assert (
-            [v.consumed for v in fast_sched.vcpus]
-            == [v.consumed for v in slow_sched.vcpus]
-        )
-
-    @pytest.mark.parametrize("n", (VECTOR_MIN_N, 24))
-    def test_full_run_grants_bitwise_equal(self, n):
-        fast_sched, slow_sched = _credit_pair(n)
-        fast = fast_sched.run(1.5)
-        with fastpath.force_slowpath():
-            slow = slow_sched.run(1.5)
-        assert fast == slow
 
 
 class TestCellParity:
