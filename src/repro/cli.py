@@ -32,10 +32,11 @@ Subcommands
     Inspect or empty the content-addressed result cache.
 ``repro runs status|resume|gc DIR``
     Inspect, continue, or clean a crash-safe run directory.
-``repro fleet [--pms N] [--vms N] [--clients N] [--shards N] [--fast]``
-    Datacenter-scale VOA-vs-VOU experiment over the sharded fleet
-    simulator with streaming per-cell aggregation; artifacts are
-    byte-identical at any ``--shards`` value and serial vs ``--jobs``.
+``repro fleet [--pms N] [--vms N] [--clients N] [--epoch S] [--fast]``
+    Datacenter-scale VOA-vs-VOU experiment over the vectorized fleet
+    simulator (one VM -> PM index stepped per tick) with streaming
+    per-cell aggregation; artifacts are byte-identical across reruns
+    and serial vs ``--jobs``.
 ``repro obs summary|export|spans [--obs-dir DIR]``
     Inspect an observability directory written by ``--obs-dir``:
     ``summary`` prints per-source span/error/wall totals plus counter
@@ -201,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_p = sub.add_parser(
         "fleet",
-        help="datacenter-scale VOA-vs-VOU sweep over the sharded fleet "
-        "simulator (streaming aggregation, shard-count-invariant output)",
+        help="datacenter-scale VOA-vs-VOU sweep over the vectorized fleet "
+        "simulator (streaming aggregation)",
     )
     fleet_p.add_argument(
         "--pms", type=int, default=None, metavar="N",
@@ -222,12 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_p.add_argument(
         "--epoch", type=float, default=None, metavar="S",
-        help="cross-shard barrier epoch length (default 10)",
-    )
-    fleet_p.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="event-queue shards the PMs are partitioned over; any "
-        "value produces byte-identical output (default 1)",
+        help="placement epoch length (default 10)",
     )
     fleet_p.add_argument(
         "--trials", type=int, default=None, metavar="N",
@@ -552,21 +548,16 @@ def _supervisor_config(args: argparse.Namespace):
 
 def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
     """Install the perf/crash-safety defaults for the dispatch, then reset."""
+    if args.command not in ("run", "all", "report", "fleet"):
+        # Only the experiment commands fan out through the executor;
+        # cache has its own dispatch.
+        return _dispatch(args)
     jobs = getattr(args, "jobs", None)
     chunk = getattr(args, "chunk", None)
     cache_dir = getattr(args, "cache_dir", None)
     resume_dir = getattr(args, "resume", None)
     run_dir = getattr(args, "run_dir", None) or resume_dir
     obs_dir = getattr(args, "obs_dir", None)
-    if args.command not in ("run", "all", "report", "fleet") or (
-        jobs is None and chunk is None and cache_dir is None
-        and run_dir is None and obs_dir is None
-        and getattr(args, "cell_deadline", None) is None
-        and getattr(args, "cell_attempts", None) is None
-    ):
-        # Only the experiment commands fan out through the executor;
-        # cache has its own dispatch.
-        return _dispatch(args)
     from repro.perf.cache import ResultCache
     from repro.perf.executor import execution_defaults
     from repro.perf.manifest import RunManifest
@@ -1015,9 +1006,7 @@ def _fleet(args: argparse.Namespace) -> int:
         if value is not None:
             kwargs[key] = value
     try:
-        results = run_fleet_experiment(
-            shards=args.shards, seed=args.seed, **kwargs
-        )
+        results = run_fleet_experiment(seed=args.seed, **kwargs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

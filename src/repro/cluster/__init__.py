@@ -1,7 +1,10 @@
 """Multi-PM testbed orchestration.
 
-The fleet-scale simulator lives in :mod:`repro.cluster.fleet` and is
-imported from there; it is not re-exported here, because it pulls in
+:class:`Cluster` wires full Xen machines together for the paper-scale
+experiments.  The fleet-scale simulator -- one VM -> PM index stepped
+as a single vectorized pass per tick -- lives in
+:mod:`repro.cluster.fleet` and is imported from there; it is not
+re-exported here, because it pulls in
 :mod:`repro.placement`, which itself depends on :mod:`repro.models` and
 :mod:`repro.monitor` -- both of which import this package.
 """

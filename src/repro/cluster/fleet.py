@@ -1,4 +1,4 @@
-"""Fleet-scale sharded datacenter simulator (VOA vs VOU at 1000+ PMs).
+"""Fleet-scale datacenter simulator (VOA vs VOU at 1000+ PMs).
 
 The paper compares overhead-aware (VOA) and overhead-unaware (VOU)
 placement on 2 PMs and 5 VMs (Fig. 10).  This module runs the same
@@ -6,77 +6,73 @@ comparison at datacenter scale: thousands of PMs, tens of thousands of
 VMs, and an open-loop client population of 10^5 - 10^6 users
 (:class:`repro.rubis.openloop.OpenLoopArrivals`).
 
-Architecture
-------------
-PMs are partitioned across *shards* in contiguous index blocks, each
-shard owning its own :class:`repro.sim.engine.Simulator` (event queue,
-clock, named RNG streams).  Within a shard every PM is one
-:class:`repro.sim.process.PeriodicProcess` that advances a fluid load
-model each tick: per-VM demand is the VM's peak-demand template scaled
-by the global open-loop load factor and a per-PM multiplicative noise
-draw; PM CPU requirement is guests + Dom0 + hypervisor via the linear
+Model
+-----
+The placement coordinator's VM -> PM index (``vm_pm`` plus per-PM
+template sums and counts) is the only record of which VM runs where.
+Each :data:`TICK_S` one vectorized step advances the fluid load model
+of the whole fleet: per-VM demand is the VM's peak-demand template
+scaled by the global open-loop load factor and a multiplicative noise
+draw (one ``(vms,)`` block per tick from the :data:`NOISE_STREAM`
+stream); per-PM demand sums come from ``np.bincount`` over the index;
+PM CPU requirement is guests + Dom0 + hypervisor via the linear
 overhead form (:class:`repro.placement.admission.LinearOverhead`); the
-served request rate degrades by ``capacity / required`` when the PM
-overloads.  PMs that stay overloaded emit *hotspot* messages.
+served request rate degrades by ``capacity / required`` when a PM
+overloads.  A PM that stays overloaded for :data:`HOTSPOT_TICKS`
+consecutive ticks, hosts more than one VM and is out of its cooldown
+reports a *hotspot* naming its VM with the largest CPU template.
 
-Shards never touch each other.  All cross-PM coordination flows
-through the epoch-barrier mailbox (:mod:`repro.cluster.mailbox`): at
-each barrier the driver merges every shard's outbox into one batch
-sorted by the shard-count-invariant ``(time, src_shard, seq)`` key,
-the placement coordinator consumes hotspots from that batch, decides
-migrations with the O(1) aggregate admission predicates of
-:class:`repro.placement.admission.AdmissionPolicy`, and its
-``migrate_out`` / ``migrate_in`` messages are delivered at the start
-of the next epoch.
+Residency changes only at epoch barriers.  At each barrier the
+coordinator consumes the epoch's hotspots in (time, PM index) order,
+skips stale ones, caps migrations per epoch, picks targets with the
+O(1) aggregate admission predicates of
+:class:`repro.placement.admission.AdmissionPolicy`, and moves the VMs
+in the index before the next epoch starts.
 
-Determinism contract (byte-identical at any shard count):
-
-* PM *i* lives on shard ``i * shards // pms`` -- contiguous blocks, so
-  sorting by ``(time, src_shard, seq)`` equals global PM-index order
-  at equal times.
-* Each PM draws only from its own named stream ``fleet.pm.<i>``;
-  stream seeds depend on (master seed, name) only, never on the shard
-  layout.  Deployment draws come from the coordinator-owned
-  ``fleet.deploy`` stream before any shard exists.
-* The coordinator runs outside every shard, over the sorted batch.
-* Per-epoch aggregates are reduced in global PM-index order, so
-  floating-point accumulation order is shard-count independent.
-
-Memory stays bounded at fleet scale: per-PM state is a few small numpy
-arrays and the run keeps only per-epoch aggregate series (a handful of
-floats per epoch), never per-tick or per-VM history.
+Determinism: a run draws from exactly two named streams of one
+sanitizer-aware :class:`repro.sim.engine.Simulator` RNG registry --
+:data:`DEPLOY_STREAM` for the VM templates and :data:`NOISE_STREAM`
+for the per-tick noise -- and reduces in fixed array order, so the seed
+fixes every output float.  Memory stays bounded at fleet scale: a few
+``(vms,)`` and ``(pms,)`` arrays plus per-epoch aggregate series,
+never per-tick or per-VM history.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.mailbox import CONTROL, Message, Outbox, merge_epoch
 from repro.obs import runtime as _obs
-from repro.placement.admission import (
-    BW,
-    CPU,
-    IO,
-    MEM,
-    AdmissionPolicy,
-    LinearOverhead,
-)
+from repro.placement.admission import BW, CPU, IO, MEM, AdmissionPolicy
 from repro.placement.placer import VOA, VOU
 from repro.rubis.openloop import OpenLoopArrivals
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 
 #: Strategies the fleet experiment compares.
 STRATEGIES = (VOA, VOU)
 
-
-def pm_stream(index: int) -> str:
-    """The named RNG stream of PM ``index`` (shard-layout independent)."""
-    return f"fleet.pm.{index:05d}"
+#: Simulated seconds per fleet step.
+TICK_S = 1.0
+#: Per-VM peak-demand template draws: uniform ranges of CPU %, IO b/s
+#: and BW Kb/s, and a fixed memory footprint in MB.
+VM_CPU_PCT = (8.0, 22.0)
+VM_IO_BPS = (10.0, 40.0)
+VM_BW_KBPS = (50.0, 200.0)
+VM_MEM_MB = 128.0
+#: Relative sigma of the per-tick multiplicative demand noise.
+NOISE_REL = 0.05
+#: Consecutive overloaded ticks that make a PM a hotspot.
+HOTSPOT_TICKS = 3
+#: Seconds a PM stays silent after reporting a hotspot.
+COOLDOWN_S = 20.0
+#: RNG stream of the VM templates (drawn once, before deployment).
+DEPLOY_STREAM = "fleet.deploy"
+#: RNG stream of the demand noise (one ``(vms,)`` block per tick).
+NOISE_STREAM = "fleet.noise"
 
 
 @dataclass(frozen=True)
@@ -88,32 +84,16 @@ class FleetConfig:
     vms: int = 240
     clients: int = 20_000
     duration_s: float = 120.0
-    tick_s: float = 1.0
+    #: Placement epoch: hotspots are acted on at each epoch barrier.
     epoch_s: float = 10.0
-    shards: int = 1
     strategy: str = VOA
     seed: int = 0
-    # Open-loop arrival profile.
-    think_time_s: float = 6.0
+    #: Open-loop warm-up: the client ramp reaches its plateau here.
     ramp_s: float = 40.0
-    wave_amplitude: float = 0.06
-    wave_period_s: float = 331.0
-    # Per-VM peak-demand template draws [cpu %, mem MB, io b/s, bw Kb/s].
-    vm_cpu_lo: float = 8.0
-    vm_cpu_hi: float = 22.0
-    vm_mem_mb: float = 128.0
-    vm_io_lo: float = 10.0
-    vm_io_hi: float = 40.0
-    vm_bw_lo: float = 50.0
-    vm_bw_hi: float = 200.0
-    #: Relative sigma of the per-tick multiplicative demand noise.
-    demand_noise_rel: float = 0.05
-    # Hotspot / migration policy.
-    hotspot_ticks: int = 3
-    cooldown_s: float = 20.0
     max_migrations_per_epoch: int = 50
-    vou_fill: float = 0.95
-    voa_headroom: float = 0.88
+
+    #: Seconds per step (fixed; not a constructor field).
+    tick_s: ClassVar[float] = TICK_S
 
     def __post_init__(self) -> None:
         if self.pms < 1:
@@ -122,24 +102,19 @@ class FleetConfig:
             raise ValueError("vms must be >= 1")
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
-        if not 1 <= self.shards <= self.pms:
-            raise ValueError("shards must be in [1, pms]")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.tick_s <= 0 or self.epoch_s < self.tick_s:
-            raise ValueError("need tick_s > 0 and epoch_s >= tick_s")
+        for name in ("duration_s", "epoch_s", "ramp_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.epoch_s < self.tick_s:
+            raise ValueError(f"epoch_s must be >= tick_s ({self.tick_s:g})")
         if self.duration_s < self.epoch_s:
             raise ValueError("duration_s must cover at least one epoch")
-        if self.demand_noise_rel < 0:
-            raise ValueError("demand_noise_rel must be >= 0")
-        if self.hotspot_ticks < 1:
-            raise ValueError("hotspot_ticks must be >= 1")
+        if self.ramp_s < 0:
+            raise ValueError("ramp_s must be >= 0")
         if self.max_migrations_per_epoch < 0:
             raise ValueError("max_migrations_per_epoch must be >= 0")
-
-    def shard_of(self, pm_index: int) -> int:
-        """The shard owning PM ``pm_index`` (contiguous blocks)."""
-        return pm_index * self.shards // self.pms
 
     @property
     def epochs(self) -> int:
@@ -147,30 +122,18 @@ class FleetConfig:
 
     def arrivals(self) -> OpenLoopArrivals:
         return OpenLoopArrivals(
-            peak_clients=float(self.clients),
-            think_time_s=self.think_time_s,
-            ramp_s=self.ramp_s,
-            wave_amplitude=self.wave_amplitude,
-            wave_period_s=self.wave_period_s,
-        )
-
-    def policy(self) -> AdmissionPolicy:
-        return AdmissionPolicy(
-            strategy=self.strategy,
-            vou_fill=self.vou_fill,
-            voa_headroom=self.voa_headroom,
+            peak_clients=float(self.clients), ramp_s=self.ramp_s
         )
 
 
 @dataclass
 class FleetSummary:
-    """What one fleet run produced (JSON-able, shard-count invariant)."""
+    """What one fleet run produced (JSON-able, bounded)."""
 
     strategy: str
     seed: int
     pms: int
     vms: int
-    shards: int
     epochs: int
     clients: int
     duration_s: float
@@ -185,7 +148,6 @@ class FleetSummary:
     overloaded_pm_ticks: int = 0
     hotspots: int = 0
     migrations: int = 0
-    migrations_cross_shard: int = 0
     migrations_rejected: int = 0
     # Per-epoch series (bounded: one entry per epoch).
     epoch_time: List[float] = field(default_factory=list)
@@ -193,156 +155,15 @@ class FleetSummary:
     epoch_served: List[float] = field(default_factory=list)
     epoch_overloaded: List[int] = field(default_factory=list)
     epoch_migrations: List[int] = field(default_factory=list)
-    # Substrate accounting.
+    #: PM-ticks stepped.
     events: int = 0
-    messages: int = 0
-    per_shard: List[Dict[str, int]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
-        out = dict(vars(self))
-        out["per_shard"] = [dict(s) for s in self.per_shard]
-        return out
-
-    def invariant_dict(self) -> Dict[str, object]:
-        """:meth:`as_dict` minus the fields that describe the shard
-        layout itself (``shards``, ``per_shard``,
-        ``migrations_cross_shard`` -- the last is 0 by definition at
-        one shard).  Everything returned here is byte-identical at any
-        shard count; artifacts and determinism checks compare this.
-        """
-        out = self.as_dict()
-        for key in ("shards", "per_shard", "migrations_cross_shard"):
-            out.pop(key)
-        return out
-
-
-class _PM:
-    """One physical machine: fluid per-tick load model."""
-
-    __slots__ = (
-        "index", "shard", "vm_ids", "templates", "weight_sum", "rng",
-        "streak", "cooldown_until", "acc_offered", "acc_served",
-        "acc_overloaded", "acc_hotspots",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        shard: "_Shard",
-        vm_ids: List[int],
-        templates: np.ndarray,
-    ) -> None:
-        self.index = index
-        self.shard = shard
-        self.vm_ids = list(vm_ids)
-        self.templates = np.array(templates, dtype=float).reshape(-1, 4)
-        self.weight_sum = float(self.templates[:, CPU].sum())
-        self.rng = shard.sim.rng(pm_stream(index))
-        self.streak = 0
-        self.cooldown_until = 0.0
-        self.acc_offered = 0.0
-        self.acc_served = 0.0
-        self.acc_overloaded = 0
-        self.acc_hotspots = 0
-
-    def reset_epoch(self) -> None:
-        self.acc_offered = 0.0
-        self.acc_served = 0.0
-        self.acc_overloaded = 0
-        self.acc_hotspots = 0
-
-    def add_vm(self, vm: int, template: np.ndarray) -> None:
-        self.vm_ids.append(vm)
-        self.templates = np.vstack([self.templates, template.reshape(1, 4)])
-        self.weight_sum = float(self.templates[:, CPU].sum())
-
-    def remove_vm(self, vm: int) -> np.ndarray:
-        pos = self.vm_ids.index(vm)
-        template = self.templates[pos].copy()
-        del self.vm_ids[pos]
-        self.templates = np.delete(self.templates, pos, axis=0)
-        self.weight_sum = float(self.templates[:, CPU].sum())
-        return template
-
-    def tick(self, now: float) -> None:
-        shard = self.shard
-        n = len(self.vm_ids)
-        if n == 0:
-            return
-        rho = shard.arrivals.load_factor(now)
-        if shard.noise_rel > 0.0:
-            noise = self.rng.normal(1.0, shard.noise_rel, size=n)
-            np.clip(noise, 0.5, 1.5, out=noise)
-            sum_m = self.templates.T @ (rho * noise)
-        else:
-            sum_m = self.templates.sum(axis=0) * rho
-        required = shard.overhead.required_cpu(sum_m)
-        capacity = shard.effective_capacity_pct
-        offered = shard.rate_scale * rho * self.weight_sum
-        self.acc_offered += offered * shard.tick_s
-        if required <= capacity:
-            self.acc_served += offered * shard.tick_s
-            self.streak = 0
-            return
-        self.acc_served += offered * (capacity / required) * shard.tick_s
-        self.acc_overloaded += 1
-        self.streak += 1
-        if (
-            self.streak >= shard.hotspot_ticks
-            and now >= self.cooldown_until
-            and n > 1
-        ):
-            victim = int(np.argmax(self.templates[:, CPU]))
-            shard.outbox.send(
-                now, CONTROL, "hotspot",
-                pm=self.index, vm=self.vm_ids[victim],
-            )
-            self.acc_hotspots += 1
-            self.cooldown_until = now + shard.cooldown_s
-            self.streak = 0
-
-
-class _Shard:
-    """One partition: its own simulator, PMs, and outbox."""
-
-    def __init__(self, shard_id: int, config: FleetConfig,
-                 overhead: LinearOverhead, rate_scale: float,
-                 effective_capacity_pct: float) -> None:
-        self.shard_id = shard_id
-        self.sim = Simulator(seed=config.seed)
-        self.outbox = Outbox(shard_id)
-        self.arrivals = config.arrivals()
-        self.overhead = overhead
-        self.effective_capacity_pct = effective_capacity_pct
-        self.rate_scale = rate_scale
-        self.tick_s = config.tick_s
-        self.noise_rel = config.demand_noise_rel
-        self.hotspot_ticks = config.hotspot_ticks
-        self.cooldown_s = config.cooldown_s
-        self.pms: Dict[int, _PM] = {}
-
-    def add_pm(self, index: int, vm_ids: List[int],
-               templates: np.ndarray) -> None:
-        pm = _PM(index, self, vm_ids, templates)
-        self.pms[index] = pm
-        PeriodicProcess(self.sim, self.tick_s, pm.tick)
-
-    def apply(self, msg: Message) -> None:
-        data = msg.data()
-        pm = self.pms[int(data["pm"])]
-        if msg.kind == "migrate_out":
-            pm.remove_vm(int(data["vm"]))
-        elif msg.kind == "migrate_in":
-            pm.add_vm(
-                int(data["vm"]),
-                np.array(data["template"], dtype=float),
-            )
-        else:
-            raise ValueError(f"shard cannot apply message kind {msg.kind!r}")
+        return asdict(self)
 
 
 class _Coordinator:
-    """Driver-side placement brain: registry, deployment, migrations."""
+    """Placement brain: the VM -> PM index, deployment, migrations."""
 
     def __init__(self, config: FleetConfig, policy: AdmissionPolicy,
                  templates: np.ndarray) -> None:
@@ -352,10 +173,15 @@ class _Coordinator:
         self.vm_pm = np.full(config.vms, -1, dtype=np.int64)
         self.sums = np.zeros((config.pms, 4), dtype=float)
         self.counts = np.zeros(config.pms, dtype=np.int64)
-        self.outbox = Outbox(CONTROL)
+        # VMs by descending CPU template (then -1 for "none"), and each
+        # VM's position in that order: a PM's hotspot victim is its
+        # resident of lowest position.
+        order = np.argsort(-templates[:, CPU], kind="stable")
+        self._cpu_rank = np.empty(config.vms, dtype=np.int64)
+        self._cpu_rank[order] = np.arange(config.vms)
+        self._by_cpu = np.append(order, -1)
         self.placed_forced = 0
         self.migrations = 0
-        self.migrations_cross_shard = 0
         self.migrations_rejected = 0
 
     def place(self, vm: int, pm: int) -> None:
@@ -402,131 +228,121 @@ class _Coordinator:
             return None
         return int(np.argmax(mask))
 
-    def process(self, batch: List[Message], now: float) -> int:
-        """Consume one epoch's hotspot messages; emit migrations.
+    def victims(self) -> np.ndarray:
+        """Each PM's resident with the largest CPU template (-1: empty)."""
+        best = np.full(self.config.pms, self.config.vms, dtype=np.int64)
+        np.minimum.at(best, self.vm_pm, self._cpu_rank)
+        return self._by_cpu[best]
 
-        Returns the number of migrations scheduled this barrier.
+    def process(self, hot_pms: List[int], victim: np.ndarray) -> int:
+        """Act on one epoch's hotspots in order; return migrations made.
+
+        ``victim`` is the epoch's :meth:`victims`, from before any of
+        this barrier's moves.
         """
-        cfg = self.config
         scheduled = 0
-        for msg in batch:
-            if msg.dst_shard != CONTROL or msg.kind != "hotspot":
-                continue
-            data = msg.data()
-            pm, vm = int(data["pm"]), int(data["vm"])
+        for pm in hot_pms:
+            vm = int(victim[pm])
             if int(self.vm_pm[vm]) != pm:
                 continue  # stale: the VM already migrated away
-            if scheduled >= cfg.max_migrations_per_epoch:
+            if scheduled >= self.config.max_migrations_per_epoch:
                 self.migrations_rejected += 1
                 continue
-            template = self.templates[vm]
-            dst = self.find_target(template, exclude=pm)
+            dst = self.find_target(self.templates[vm], exclude=pm)
             if dst is None:
                 self.migrations_rejected += 1
                 continue
             self.remove(vm)
             self.place(vm, dst)
-            self.outbox.send(
-                now, cfg.shard_of(pm), "migrate_out", pm=pm, vm=vm,
-            )
-            self.outbox.send(
-                now, cfg.shard_of(dst), "migrate_in", pm=dst, vm=vm,
-                template=tuple(float(x) for x in template),
-            )
             scheduled += 1
-            self.migrations += 1
-            if cfg.shard_of(pm) != cfg.shard_of(dst):
-                self.migrations_cross_shard += 1
+        self.migrations += scheduled
         return scheduled
 
 
-def _draw_templates(config: FleetConfig, sim: Simulator) -> np.ndarray:
-    """Per-VM peak-demand templates from the ``fleet.deploy`` stream."""
-    rng = sim.rng("fleet.deploy")
-    n = config.vms
-    cpu = rng.uniform(config.vm_cpu_lo, config.vm_cpu_hi, size=n)
-    io = rng.uniform(config.vm_io_lo, config.vm_io_hi, size=n)
-    bw = rng.uniform(config.vm_bw_lo, config.vm_bw_hi, size=n)
-    templates = np.empty((n, 4), dtype=float)
-    templates[:, CPU] = cpu
-    templates[:, MEM] = config.vm_mem_mb
-    templates[:, IO] = io
-    templates[:, BW] = bw
+def _draw_templates(vms: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-VM peak-demand templates ``[cpu, mem, io, bw]``."""
+    templates = np.empty((vms, 4), dtype=float)
+    templates[:, CPU] = rng.uniform(*VM_CPU_PCT, size=vms)
+    templates[:, IO] = rng.uniform(*VM_IO_BPS, size=vms)
+    templates[:, BW] = rng.uniform(*VM_BW_KBPS, size=vms)
+    templates[:, MEM] = VM_MEM_MB
     return templates
 
 
 def run_fleet(config: FleetConfig) -> FleetSummary:
-    """Run one sharded fleet simulation; return its bounded summary."""
-    overhead = LinearOverhead.from_calibration()
-    policy = config.policy()
-    # The coordinator's simulator exists for its (sanitizer-aware) RNG
-    # registry and never dispatches an event.
-    coord_sim = Simulator(seed=config.seed)
-    templates = _draw_templates(config, coord_sim)
+    """Run one fleet simulation; return its bounded summary."""
+    policy = AdmissionPolicy(strategy=config.strategy)
+    capacity = policy.effective_capacity_pct
+    arrivals = config.arrivals()
+    # The simulator exists for its (sanitizer-aware) RNG registry and
+    # never dispatches an event.
+    sim = Simulator(seed=config.seed)
+    templates = _draw_templates(config.vms, sim.rng(DEPLOY_STREAM))
+    noise_rng = sim.rng(NOISE_STREAM)
     coordinator = _Coordinator(config, policy, templates)
+    pms, vms = config.pms, config.vms
+    summary = FleetSummary(
+        strategy=config.strategy,
+        seed=config.seed,
+        pms=pms,
+        vms=vms,
+        epochs=config.epochs,
+        clients=config.clients,
+        duration_s=config.duration_s,
+    )
     with _obs.span("fleet.run", source="cluster"):
         coordinator.deploy()
+        summary.pms_used = int((coordinator.counts > 0).sum())
+        summary.placed_forced = coordinator.placed_forced
         # Offered load follows the VMs: each VM carries a share of the
         # peak open-loop request rate proportional to its CPU template,
         # scaled at runtime by the load factor rho(t).
-        total_weight = float(templates[:, CPU].sum())
-        peak_rate = float(config.clients) / config.think_time_s
-        rate_scale = peak_rate / total_weight
-        shards = [
-            _Shard(s, config, overhead, rate_scale,
-                   policy.effective_capacity_pct)
-            for s in range(config.shards)
-        ]
-        for pm_index in range(config.pms):
-            resident = [
-                int(vm) for vm in np.nonzero(
-                    coordinator.vm_pm == pm_index)[0]
-            ]
-            shards[config.shard_of(pm_index)].add_pm(
-                pm_index, resident, templates[resident],
-            )
-        summary = FleetSummary(
-            strategy=config.strategy,
-            seed=config.seed,
-            pms=config.pms,
-            vms=config.vms,
-            shards=config.shards,
-            epochs=config.epochs,
-            clients=config.clients,
-            duration_s=config.duration_s,
-            pms_used=int((coordinator.counts > 0).sum()),
-            placed_forced=coordinator.placed_forced,
-        )
-        pending: List[Message] = []
-        messages = 0
+        cpu = templates[:, CPU]
+        peak_rate = arrivals.peak_clients / arrivals.think_time_s
+        rate_scale = peak_rate / float(cpu.sum())
+        demand = np.zeros((pms, 4), dtype=float)
+        streak = np.zeros(pms, dtype=np.int64)
+        cooldown_until = np.zeros(pms, dtype=float)
+        tick = 0
         for epoch in range(config.epochs):
             t_end = min(config.duration_s, (epoch + 1) * config.epoch_s)
-            # Barrier delivery: last epoch's batch, in global order.
-            for msg in pending:
-                if msg.dst_shard != CONTROL:
-                    shards[msg.dst_shard].apply(msg)
-            for shard in shards:
-                shard.sim.run_until(t_end)
-            batch = merge_epoch([shard.outbox for shard in shards])
-            messages += len(batch)
-            for msg in batch:
-                _obs.inc("repro_fleet_messages_total", kind=msg.kind)
-            migrated = coordinator.process(batch, t_end)
-            pending = merge_epoch([coordinator.outbox])
-            messages += len(pending)
-            for msg in pending:
-                _obs.inc("repro_fleet_messages_total", kind=msg.kind)
-            # Per-epoch reduction in global PM-index order, so float
-            # accumulation order is independent of the shard layout.
+            vm_pm = coordinator.vm_pm
+            weight = np.bincount(vm_pm, weights=cpu, minlength=pms)
+            multi = coordinator.counts > 1
+            victim = coordinator.victims()
+            hot_pms: List[int] = []
             offered = served = 0.0
-            overloaded = hotspots = 0
-            for pm_index in range(config.pms):
-                pm = shards[config.shard_of(pm_index)].pms[pm_index]
-                offered += pm.acc_offered
-                served += pm.acc_served
-                overloaded += pm.acc_overloaded
-                hotspots += pm.acc_hotspots
-                pm.reset_epoch()
+            overloaded = 0
+            while (tick + 1) * TICK_S <= t_end:
+                tick += 1
+                now = tick * TICK_S
+                rho = arrivals.load_factor(now)
+                scale = noise_rng.normal(1.0, NOISE_REL, size=vms)
+                np.clip(scale, 0.5, 1.5, out=scale)
+                scale *= rho
+                for col in (CPU, IO, BW):
+                    demand[:, col] = np.bincount(
+                        vm_pm, weights=templates[:, col] * scale,
+                        minlength=pms,
+                    )
+                required = policy.overhead.required_cpu_array(demand)
+                offered_pm = (rate_scale * rho) * weight
+                offered += float(offered_pm.sum()) * TICK_S
+                served += float(
+                    offered_pm @ np.minimum(1.0, capacity / required)
+                ) * TICK_S
+                over = required > capacity
+                overloaded += int(np.count_nonzero(over))
+                streak = np.where(over, streak + 1, 0)
+                hot = np.flatnonzero(
+                    over & multi & (streak >= HOTSPOT_TICKS)
+                    & (cooldown_until <= now)
+                )
+                if hot.size:
+                    hot_pms.extend(hot.tolist())
+                    cooldown_until[hot] = now + COOLDOWN_S
+                    streak[hot] = 0
+            migrated = coordinator.process(hot_pms, victim)
             summary.epoch_time.append(float(t_end))
             summary.epoch_offered.append(offered)
             summary.epoch_served.append(served)
@@ -535,30 +351,17 @@ def run_fleet(config: FleetConfig) -> FleetSummary:
             summary.offered_total += offered
             summary.served_total += served
             summary.overloaded_pm_ticks += overloaded
-            summary.hotspots += hotspots
+            summary.hotspots += len(hot_pms)
             _obs.inc("repro_fleet_epochs_total")
         if summary.offered_total > 0:
             summary.served_fraction = (
                 summary.served_total / summary.offered_total
             )
         summary.migrations = coordinator.migrations
-        summary.migrations_cross_shard = coordinator.migrations_cross_shard
         summary.migrations_rejected = coordinator.migrations_rejected
-        summary.events = sum(shard.sim.dispatched for shard in shards)
-        summary.messages = messages
-        summary.per_shard = [
-            {
-                "shard": shard.shard_id,
-                "pms": len(shard.pms),
-                "vms": sum(len(pm.vm_ids) for pm in shard.pms.values()),
-                "events": shard.sim.dispatched,
-                "sent": shard.outbox.sent,
-            }
-            for shard in shards
-        ]
+        summary.events = pms * tick
     _obs.inc("repro_fleet_migrations_total", coordinator.migrations)
     _obs.inc("repro_fleet_hotspots_total", summary.hotspots)
-    _obs.set_gauge("repro_fleet_shards", config.shards)
     _obs.set_gauge("repro_fleet_pms", config.pms)
     _obs.set_gauge("repro_fleet_vms", config.vms)
     return summary
@@ -572,7 +375,6 @@ def run_fleet_cell(cell) -> Tuple[Dict[str, object], int]:
         clients=cell.clients,
         duration_s=cell.duration_s,
         epoch_s=cell.epoch_s,
-        shards=cell.shards,
         strategy=cell.strategy,
         seed=cell.seed,
         ramp_s=cell.ramp_s,

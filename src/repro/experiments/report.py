@@ -280,16 +280,15 @@ def generate_experiments_md(
         "it to fail and to shrink to the committed known-minimal plan.",
         "",
         "The placement comparison also runs at datacenter scale: "
-        "`repro fleet` partitions 1000+ PMs across per-shard event "
-        "queues joined by epoch-barrier mailboxes, deploys 10^4+ VMs "
-        "under each strategy, and drives them with an open-loop "
-        "population of 10^5+ emulated clients — VOU's overhead-blind "
-        "packing overloads and churns migrations while VOA serves the "
-        "full offered load. Cell summaries stream through the "
-        "executor's incremental-consume mode (bounded memory at any "
-        "fleet size), and the artifacts are byte-identical at any "
-        "`--shards` value and for serial vs `--jobs` runs (README § "
-        "Fleet scale).",
+        "`repro fleet` steps 1000+ PMs as one vectorized pass per tick "
+        "over a single VM → PM index, deploys 10^4+ VMs under each "
+        "strategy, and drives them with an open-loop population of "
+        "10^5+ emulated clients — VOU's overhead-blind packing "
+        "overloads and churns migrations while VOA serves the full "
+        "offered load. Cell summaries stream through the executor's "
+        "incremental-consume mode (bounded memory at any fleet size), "
+        "and the artifacts are byte-identical across reruns and for "
+        "serial vs `--jobs` runs (README § Fleet scale).",
         "",
     ]
     if provenance:

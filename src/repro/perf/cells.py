@@ -10,8 +10,8 @@ function of (code, configuration, seed):
   Figures 7-9 prediction experiments;
 * :class:`ScenarioTrialCell` -- one (scenario, strategy, trial)
   placement run of the Figure 10 grid;
-* :class:`FleetCell` -- one (strategy, trial) sharded fleet simulation
-  of the datacenter-scale VOA-vs-VOU experiment.
+* :class:`FleetCell` -- one (strategy, trial) fleet simulation of the
+  datacenter-scale VOA-vs-VOU experiment.
 
 A cell is a frozen, picklable configuration record.  ``run()`` executes
 the cell in the calling process and returns ``(value, events)`` where
@@ -209,9 +209,9 @@ class FleetCell(Cell):
     The value is the run's :meth:`~repro.cluster.fleet.FleetSummary.
     as_dict` -- bounded per-epoch aggregates, never per-VM state -- so
     a fleet sweep streams cleanly through ``run_cells``' incremental-
-    consume mode.  ``shards`` is part of the cache key (it selects the
-    partitioning, even though the summary's invariant fields do not
-    depend on it).
+    consume mode; its event count is the PM-ticks stepped.  The fields
+    are exactly the :class:`~repro.cluster.fleet.FleetConfig`
+    constructor fields.
     """
 
     pms: int
@@ -219,7 +219,6 @@ class FleetCell(Cell):
     clients: int
     duration_s: float
     epoch_s: float
-    shards: int
     strategy: str
     seed: int
     ramp_s: float
@@ -236,7 +235,6 @@ class FleetCell(Cell):
             "clients": self.clients,
             "duration_s": self.duration_s,
             "epoch_s": self.epoch_s,
-            "shards": self.shards,
             "strategy": self.strategy,
             "seed": self.seed,
             "ramp_s": self.ramp_s,

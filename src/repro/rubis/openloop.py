@@ -13,8 +13,9 @@ profile regardless of how fast the servers answer.
 :class:`OpenLoopArrivals` is that profile: a deterministic, analytic
 function of simulated time (warm-up ramp plus a sinusoidal wave around
 the plateau), with no RNG of its own -- stochasticity lives in the
-per-PM demand noise so the arrival curve is identical on every shard
-of a fleet run.  ``concurrency(t)`` scales the paper's client ramp to
+fleet's per-VM demand noise (one block per tick from the
+``fleet.noise`` stream), so one load factor drives every PM of a fleet
+run.  ``concurrency(t)`` scales the paper's client ramp to
 ``peak_clients``; ``request_rate(t)`` converts it through the familiar
 think-time law ``lambda = N / Z``; ``load_factor(t)`` normalizes to
 the peak for use as a global demand multiplier.

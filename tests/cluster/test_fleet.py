@@ -1,24 +1,31 @@
-"""Sharded fleet simulator: shard-count invariance and model shape.
+"""Vectorized fleet stepper: accounting, determinism and model shape.
 
-The tentpole guarantee: partitioning the fleet over any number of
-event-queue shards changes *nothing* observable -- every field of
-:meth:`FleetSummary.invariant_dict` (totals, per-epoch float series,
-event counts) is byte-identical at ``shards`` 1, 2 and 4, and the
-sanitizer sees the same per-stream RNG draw counts.  Plus the model's
-headline shape: VOA absorbs the open-loop load that overloads VOU's
-overhead-blind packing.
+The stepper keeps one VM -> PM index and draws all demand noise from
+one stream, so these tests pin what it must keep: the hotspot,
+cooldown and migration-cap accounting; bit-identical reruns that draw
+from exactly the deploy and noise streams, one noise block per tick;
+and the model's headline shape -- VOA absorbs the open-loop load that
+overloads VOU's overhead-blind packing.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.cluster.fleet import FleetConfig, pm_stream, run_fleet
+from repro.cluster.fleet import (
+    DEPLOY_STREAM,
+    HOTSPOT_TICKS,
+    NOISE_STREAM,
+    FleetConfig,
+    run_fleet,
+)
 from repro.placement.placer import VOA, VOU
 from repro.sim import sanitize
 
 
-def _config(shards: int = 1, strategy: str = VOU, **overrides) -> FleetConfig:
+def _config(strategy: str = VOU, **overrides) -> FleetConfig:
     # Small but overcommitted: VOU packs ~64 * ~15% CPU of guests onto
     # few PMs and overloads; VOA spreads.  Big enough for migrations.
     kwargs = dict(
@@ -28,12 +35,15 @@ def _config(shards: int = 1, strategy: str = VOU, **overrides) -> FleetConfig:
         duration_s=40.0,
         epoch_s=10.0,
         ramp_s=15.0,
-        shards=shards,
         strategy=strategy,
         seed=7,
     )
     kwargs.update(overrides)
     return FleetConfig(**kwargs)
+
+
+def _ticks(config: FleetConfig) -> int:
+    return int(config.duration_s / config.tick_s)
 
 
 def _sanitized_run(config: FleetConfig):
@@ -43,63 +53,72 @@ def _sanitized_run(config: FleetConfig):
     return summary, dict(sanitize.aggregate_draw_counts())
 
 
-class TestShardInvariance:
-    @pytest.mark.parametrize("strategy", [VOA, VOU])
-    def test_invariant_dict_identical_at_shards_1_2_4(self, strategy):
-        base = run_fleet(_config(1, strategy)).invariant_dict()
-        for shards in (2, 4):
-            sharded = run_fleet(_config(shards, strategy)).invariant_dict()
-            assert sharded == base, f"shards={shards} diverged"
+class TestAccountingInvariants:
+    @pytest.mark.parametrize(
+        "strategy,seed,cap",
+        [(s, seed, 50) for s in (VOA, VOU) for seed in (7, 8, 9)]
+        + [(VOU, 7, 2)],
+    )
+    def test_hotspot_cooldown_and_cap_accounting(self, strategy, seed, cap):
+        config = _config(strategy, seed=seed, max_migrations_per_epoch=cap)
+        summary = run_fleet(config)
+        assert sum(summary.epoch_migrations) == summary.migrations
+        assert all(m <= cap for m in summary.epoch_migrations)
+        assert (
+            summary.migrations + summary.migrations_rejected
+            <= summary.hotspots
+        )
+        assert (
+            summary.hotspots * HOTSPOT_TICKS <= summary.overloaded_pm_ticks
+        )
+        start = 0.0
+        for end, overloaded in zip(
+            summary.epoch_time, summary.epoch_overloaded
+        ):
+            ticks_in_epoch = (
+                math.floor(end / config.tick_s)
+                - math.floor(start / config.tick_s)
+            )
+            assert overloaded <= config.pms * ticks_in_epoch
+            start = end
+        assert summary.events == config.pms * _ticks(config)
 
-    def test_float_series_are_bitwise_equal_across_shards(self):
-        # Dict equality tolerates -0.0 == 0.0 etc; compare exact reprs
-        # to pin the byte-identical artifact guarantee.
-        one = run_fleet(_config(1)).invariant_dict()
-        four = run_fleet(_config(4)).invariant_dict()
-        for key in ("epoch_offered", "epoch_served", "offered_total"):
-            assert repr(one[key]) == repr(four[key])
 
-    def test_sanitizer_draw_counts_identical_across_shards(self):
-        _, base = _sanitized_run(_config(1))
-        assert base, "sanitized run recorded no draws"
-        for shards in (2, 4):
-            _, counts = _sanitized_run(_config(shards))
-            assert counts == base, f"shards={shards} draw counts diverged"
+class TestDeterminism:
+    def test_sanitized_reruns_identical(self):
+        a, counts_a = _sanitized_run(_config())
+        b, counts_b = _sanitized_run(_config())
+        assert counts_a, "sanitized run recorded no draws"
+        assert a.as_dict() == b.as_dict()
+        assert counts_a == counts_b
+        # The sanitizer only observes.
+        assert run_fleet(_config()).as_dict() == a.as_dict()
 
-    def test_rng_streams_are_named_per_pm_not_per_shard(self):
-        _, counts = _sanitized_run(_config(2))
-        config = _config(2)
-        for index in range(config.pms):
-            assert pm_stream(index) in counts
-        assert "fleet.deploy" in counts
-
-    def test_cross_shard_migrations_occur_and_only_that_field_differs(self):
-        one = run_fleet(_config(1))
-        four = run_fleet(_config(4))
-        assert one.migrations_cross_shard == 0
-        assert four.migrations > 0
-        assert four.migrations_cross_shard > 0
-        assert four.invariant_dict() == one.invariant_dict()
+    def test_streams_are_deploy_plus_one_noise_block_per_tick(self):
+        config = _config()
+        _, counts = _sanitized_run(config)
+        assert sorted(counts) == sorted([DEPLOY_STREAM, NOISE_STREAM])
+        assert counts[NOISE_STREAM] == _ticks(config)
 
     def test_same_seed_same_summary_different_seed_differs(self):
-        a = run_fleet(_config(1)).as_dict()
-        b = run_fleet(_config(1)).as_dict()
+        a = run_fleet(_config()).as_dict()
+        b = run_fleet(_config()).as_dict()
         assert a == b
-        c = run_fleet(_config(1, seed=8)).as_dict()
+        c = run_fleet(_config(seed=8)).as_dict()
         assert c != a
 
 
 class TestModelShape:
     def test_voa_serves_what_overloads_vou(self):
-        voa = run_fleet(_config(1, VOA))
-        vou = run_fleet(_config(1, VOU))
+        voa = run_fleet(_config(VOA))
+        vou = run_fleet(_config(VOU))
         assert voa.served_fraction > vou.served_fraction
         assert vou.overloaded_pm_ticks > voa.overloaded_pm_ticks
         assert vou.migrations > voa.migrations
         assert voa.pms_used > vou.pms_used
 
     def test_served_never_exceeds_offered(self):
-        summary = run_fleet(_config(1, VOU))
+        summary = run_fleet(_config(VOU))
         assert summary.served_total <= summary.offered_total
         for offered, served in zip(
             summary.epoch_offered, summary.epoch_served
@@ -107,26 +126,20 @@ class TestModelShape:
             assert served <= offered + 1e-9
 
     def test_epoch_series_cover_the_run(self):
-        config = _config(1)
+        config = _config()
         summary = run_fleet(config)
         assert len(summary.epoch_time) == config.epochs
         assert summary.epoch_time[-1] == pytest.approx(config.duration_s)
-        assert summary.events == config.pms * int(
-            config.duration_s / config.tick_s
-        )
+        assert summary.events == config.pms * _ticks(config)
 
     def test_migration_cap_bounds_each_epoch(self):
-        capped = run_fleet(_config(1, max_migrations_per_epoch=2))
+        capped = run_fleet(_config(max_migrations_per_epoch=2))
         assert capped.epoch_migrations
         assert max(capped.epoch_migrations) <= 2
         assert capped.migrations_rejected > 0
 
 
 class TestConfigValidation:
-    def test_shards_must_not_exceed_pms(self):
-        with pytest.raises(ValueError, match="shards"):
-            FleetConfig(pms=4, shards=5)
-
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             FleetConfig(strategy="best-effort")
@@ -135,8 +148,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="duration"):
             FleetConfig(duration_s=5.0, epoch_s=10.0)
 
-    def test_shard_of_partitions_contiguously_and_exhaustively(self):
-        config = FleetConfig(pms=10, shards=3)
-        owners = [config.shard_of(i) for i in range(10)]
-        assert owners == sorted(owners)
-        assert set(owners) == {0, 1, 2}
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("duration_s", math.nan),
+            ("duration_s", math.inf),
+            ("epoch_s", math.nan),
+            ("ramp_s", math.inf),
+        ],
+    )
+    def test_non_finite_times_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FleetConfig(**{field: value})

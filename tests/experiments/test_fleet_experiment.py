@@ -1,9 +1,9 @@
 """Fleet experiment artifacts and the ``repro fleet`` CLI.
 
-The experiment layer must build both panels from invariant summary
-fields only -- so the rendered artifacts are byte-identical at any
-``--shards`` value -- and the CLI must wire the scale knobs, the perf
-options and the exit-code contract like the other experiment commands.
+The experiment layer must build both panels from the trial summaries
+-- rendered byte-identically serial and under ``--jobs`` -- and the CLI
+must wire the scale knobs, the perf options and the exit-code contract
+like the other experiment commands.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class TestExperiment:
             assert len(series.x) == epochs
             assert len(series.y) == epochs
 
-    def test_render_identical_across_shard_counts(self):
-        base = [r.render() for r in run_fleet_experiment(**SMALL)]
-        sharded = [
-            r.render() for r in run_fleet_experiment(**SMALL, shards=4)
-        ]
-        assert sharded == base
-
     def test_offered_bounds_served(self):
         fleeta, _ = run_fleet_experiment(**SMALL)
         offered = dict(zip(fleeta.series[0].x, fleeta.series[0].y))
@@ -69,14 +62,10 @@ class TestCli:
             assert (out / f"{artifact}.csv").is_file()
         assert "All shape checks passed" in capsys.readouterr().out
 
-    def test_artifacts_byte_identical_across_shards_and_jobs(
+    def test_artifacts_byte_identical_serial_and_jobs(
         self, tmp_path, capsys
     ):
-        runs = {
-            "s1": ["--shards", "1"],
-            "s2": ["--shards", "2"],
-            "j2": ["--shards", "1", "--jobs", "2"],
-        }
+        runs = {"serial": [], "j2": ["--jobs", "2"]}
         for name, extra in runs.items():
             out = tmp_path / name
             assert main(
@@ -85,12 +74,21 @@ class TestCli:
         capsys.readouterr()
         for artifact in ("fleeta.txt", "fleeta.csv", "fleetb.txt",
                          "fleetb.csv"):
-            base = (tmp_path / "s1" / artifact).read_bytes()
-            assert (tmp_path / "s2" / artifact).read_bytes() == base
+            base = (tmp_path / "serial" / artifact).read_bytes()
             assert (tmp_path / "j2" / artifact).read_bytes() == base
 
-    def test_invalid_scale_is_usage_error(self, tmp_path, capsys):
-        assert main(["fleet", "--pms", "0", "--trials", "1"]) == 2
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--pms", "0", "--trials", "1"],
+            ["--fast", "--duration", "nan"],
+            ["--fast", "--duration", "inf"],
+            ["--fast", "--epoch", "nan"],
+        ],
+        ids=["pms-0", "duration-nan", "duration-inf", "epoch-nan"],
+    )
+    def test_invalid_scale_is_usage_error(self, flags, capsys):
+        assert main(["fleet", *flags]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_sanitize_flag_reports_fleet_streams(self, capsys):

@@ -161,22 +161,23 @@ class TestCrashSafety:
         assert "1 orphaned" in capsys.readouterr().out
         assert not orphan.exists()
 
+    @pytest.mark.parametrize("run_dir", [True, False],
+                             ids=["run-dir", "no-perf-flags"])
     def test_permanent_failure_exits_3_with_hint(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, run_dir
     ):
         def boom(cell):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr("repro.perf.executor._execute_cell", boom)
         rd = tmp_path / "rd"
-        code = main(
-            ["run", "fig5a", "--fast", "--run-dir", str(rd),
-             "--cell-attempts", "2"]
-        )
+        perf = ["--run-dir", str(rd), "--cell-attempts", "2"]
+        code = main(["run", "fig5a", "--fast", *(perf if run_dir else [])])
         assert code == 3
         err = capsys.readouterr().err
         assert "failed permanently" in err
-        assert "runs resume" in err  # the retry hint names the fix
+        if run_dir:
+            assert "runs resume" in err  # the retry hint names the fix
 
     def test_recovered_retry_exits_0_with_warning(
         self, tmp_path, capsys, monkeypatch
