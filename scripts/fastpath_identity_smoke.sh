@@ -5,6 +5,8 @@
 #      precompiled monitor sampling),
 #   2. the per-event reference path (REPRO_SIM_SLOWPATH=1),
 #   3. a parallel chunked run (--jobs 4 --chunk 2).
+# fig5 runs single-PM cells only, so the reduced-scale fig10 (two-PM
+# RUBiS trials through the cluster router) is also diffed fast vs slow.
 #
 # Usage: bash scripts/fastpath_identity_smoke.sh   (from the repo root)
 set -euo pipefail
@@ -28,7 +30,14 @@ echo "== parallel chunked (--jobs 4 --chunk 2) =="
 python -m repro run fig5 --jobs 4 --chunk 2 --out "$PAR" \
     > "$WORK/parallel.log" 2>&1
 
+echo "== fig10 --fast, fast and slow path =="
+python -m repro run fig10 --fast --out "$WORK/fig10-fast" \
+    > "$WORK/fig10-fast.log" 2>&1
+REPRO_SIM_SLOWPATH=1 python -m repro run fig10 --fast \
+    --out "$WORK/fig10-slow" > "$WORK/fig10-slow.log" 2>&1
+
 echo "== diff =="
 diff -r "$FAST" "$SLOW"
 diff -r "$FAST" "$PAR"
-echo "fast == slow == parallel: byte-identical"
+diff -r "$WORK/fig10-fast" "$WORK/fig10-slow"
+echo "fig5: fast == slow == parallel; fig10: fast == slow: byte-identical"

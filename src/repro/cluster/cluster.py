@@ -8,14 +8,24 @@ lives on a *different* PM and feeds the receiving machine's
 NIC (and Dom0 netback CPU) see the traffic -- exactly the asymmetry the
 paper's RUBiS experiment exercises (web tier sends big responses, DB
 tier receives small queries).
+
+The router obeys the state clock's "bump on change, not on write" rule
+(:mod:`repro.xen.stateclock`): a PM's table is rewritten only when the
+routed result differs from what it already holds, and a routing tick at
+an unmoved clock is skipped outright -- every input the router reads
+(residency, flow lists, flow endpoints and rates) bumps the clock.
+Otherwise the router's own rewrites would invalidate every machine's
+steady-quantum memo on every quantum.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
+from repro.sim import fastpath as _fastpath
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
+from repro.xen import stateclock
 from repro.xen.calibration import XenCalibration
 from repro.xen.machine import DEFAULT_QUANTUM, PhysicalMachine
 from repro.xen.specs import MachineSpec, VMSpec
@@ -23,6 +33,8 @@ from repro.xen.vm import GuestVM
 
 #: Routing runs after workload updates (-10) and before machine quanta (0).
 ROUTING_PRIORITY = -5
+#: Key prefix of router-owned ``external_inbound_kbps`` entries.
+ROUTE_TAG = "cluster:"
 
 
 class Cluster:
@@ -42,6 +54,8 @@ class Cluster:
         self._spec = spec
         self._pms: Dict[str, PhysicalMachine] = {}
         self._router: Optional[PeriodicProcess] = None
+        #: State-clock value after the last routing pass (-1: never).
+        self._routed_version = -1
 
     # -- topology ----------------------------------------------------------
 
@@ -133,7 +147,18 @@ class Cluster:
         self.sim.run_until(self.sim.now + seconds)
 
     def _route(self, _now: float) -> None:
-        """Refresh every PM's external-inbound table from live flows."""
+        """Refresh every PM's external-inbound table from live flows.
+
+        Skipped when the state clock has not moved since the last pass
+        (except under ``REPRO_SIM_SLOWPATH``, which routes every
+        quantum); a table is rewritten only when its routed contents or
+        order would change.
+        """
+        if (
+            stateclock._version == self._routed_version
+            and not _fastpath._slowpath
+        ):
+            return
         inbound: Dict[str, Dict[str, float]] = {
             name: {} for name in self._pms
         }
@@ -148,14 +173,23 @@ class Cluster:
                             table[flow.dst] = table.get(flow.dst, 0.0) + flow.kbps
                             break
         for name, pm in self._pms.items():
-            # Replace only the router-owned ("cluster:" tagged) entries;
-            # application-owned entries (e.g. client traffic from outside
-            # the cluster) are left untouched.
-            for key in list(pm.external_inbound_kbps):
-                if key.startswith("cluster:"):
-                    del pm.external_inbound_kbps[key]
-            for dst, kbps in inbound[name].items():
-                pm.external_inbound_kbps[f"cluster:{dst}"] = kbps
+            # Router-owned entries come after the application-owned ones
+            # (e.g. client traffic from outside the cluster), which keep
+            # their order; the machine sums the table in this order.
+            table = pm.external_inbound_kbps
+            current = list(table.items())
+            routed = [(f"{ROUTE_TAG}{dst}", kbps)
+                      for dst, kbps in inbound[name].items()]
+            kept = [item for item in current
+                    if not item[0].startswith(ROUTE_TAG)]
+            if kept + routed == current:
+                continue
+            for key, _ in current:
+                if key.startswith(ROUTE_TAG):
+                    del table[key]
+            for key, kbps in routed:
+                table[key] = kbps
+        self._routed_version = stateclock._version
 
 
 __all__ = ["Cluster", "ROUTING_PRIORITY"]

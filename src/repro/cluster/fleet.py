@@ -118,7 +118,17 @@ class FleetConfig:
 
     @property
     def epochs(self) -> int:
-        return int(math.ceil(self.duration_s / self.epoch_s))
+        """Epochs that hold at least one tick: the first ``n`` whose end
+        ``n * epoch_s`` (the product the stepper compares) reaches the
+        last tick, the last multiple of ``TICK_S`` within duration_s."""
+        horizon = (self.duration_s // TICK_S) * TICK_S
+        n = math.ceil(horizon / self.epoch_s)
+        # The quotient can round across an integer the product does not.
+        while (n - 1) * self.epoch_s >= horizon:
+            n -= 1
+        while n * self.epoch_s < horizon:
+            n += 1
+        return n
 
     def arrivals(self) -> OpenLoopArrivals:
         return OpenLoopArrivals(
@@ -343,7 +353,9 @@ def run_fleet(config: FleetConfig) -> FleetSummary:
                     cooldown_until[hot] = now + COOLDOWN_S
                     streak[hot] = 0
             migrated = coordinator.process(hot_pms, victim)
-            summary.epoch_time.append(float(t_end))
+            # The epoch's time is its last tick's, so a partial last
+            # epoch's rate divides by the time its ticks cover.
+            summary.epoch_time.append(tick * TICK_S)
             summary.epoch_offered.append(offered)
             summary.epoch_served.append(served)
             summary.epoch_overloaded.append(overloaded)

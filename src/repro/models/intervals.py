@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.models.samples import TARGETS, TrainingSample, design_matrix, target_vector
 
@@ -85,6 +84,9 @@ class IntervalModel:
         se = float(
             np.sqrt(self._s2 * (1.0 + phi @ self._AtA_pinv @ phi))
         )
+        # scipy costs ~1 s of import and ~60 MB; only this call needs it.
+        from scipy import stats
+
         t = float(stats.t.ppf(0.5 + level / 2.0, self._dof))
         return PredictionInterval(
             point=point, lo=point - t * se, hi=point + t * se, level=level

@@ -22,7 +22,11 @@ Two rules keep the clock sound:
 * **Bump on change, not on write.**  Dynamic drivers (RUBiS ramps,
   probe overhead) rewrite the same value every second; writing an equal
   value leaves observable state unchanged, so it must not invalidate
-  the memo.
+  the memo.  Because the clock is global, a writer that rewrites equal
+  state on every quantum -- deleting and re-inserting a dict entry
+  counts -- turns the memo off for every machine in the process, not
+  just its own.  The cluster router therefore compares before it
+  writes, and skips its pass while the clock has not moved.
 
 The clock is deliberately global rather than per-machine: a bump is one
 integer increment, reads are one attribute load, and false sharing
@@ -60,8 +64,10 @@ class VersionedDict(dict):
     """A dict of scheduler inputs that bumps the clock on mutation.
 
     Used for :attr:`PhysicalMachine.external_inbound_kbps`: the cluster
-    router and applications rewrite entries every tick, usually with the
-    value already present -- only real changes invalidate the memo.
+    router and applications rewrite entries, usually with the value
+    already present -- only real changes invalidate the memo.  Removal
+    always bumps, so a writer must not delete and re-insert an entry it
+    could leave in place.
     """
 
     def __setitem__(self, key: Any, value: Any) -> None:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster
+from repro.obs import runtime
 from repro.sim import Simulator
-from repro.xen import Flow, VMSpec
+from repro.xen import Flow, VMSpec, stateclock
 
 
 @pytest.fixture()
@@ -109,6 +110,47 @@ class TestRouting:
         # Now inter-PM: both NICs are busy.
         assert cluster.pms["pm1"].snapshot().pm_bw_kbps > 390.0
         assert cluster.pms["pm2"].snapshot().pm_bw_kbps > 390.0
+
+    def test_steady_routing_leaves_the_clock_alone(self, cluster):
+        # A router that rewrites equal entries bumps the state clock
+        # every quantum and keeps both machines off their memo.
+        src = cluster.place_vm(VMSpec(name="src"), "pm1")
+        cluster.place_vm(VMSpec(name="dst"), "pm2")
+        flow = src.add_flow(Flow(src="src", dst="dst", kbps=800.0))
+        collector = runtime.ObsCollector()
+        fills = collector.metrics.counter("repro_sched_water_fill_total")
+        with runtime.collecting(collector):
+            cluster.start()
+            cluster.run(2.0)
+            version, settled_fills = stateclock.version(), fills.value
+            cluster.run(5.0)
+            assert stateclock.version() == version
+            assert fills.value == settled_fills > 0
+            flow.kbps = 500.0
+            cluster.run(0.1)
+        table = cluster.pms["pm2"].external_inbound_kbps
+        assert dict(table) == {"cluster:dst": 500.0}
+        assert fills.value > settled_fills
+
+    def test_app_entries_stay_ahead_of_routed_ones(self, cluster):
+        # The machine sums its inbound table in dict order, so the order
+        # is part of the output: application entries first, then the
+        # router's, whatever order the writers happened to use.
+        src = cluster.place_vm(VMSpec(name="src"), "pm1")
+        cluster.place_vm(VMSpec(name="dst"), "pm2")
+        src.add_flow(Flow(src="src", dst="dst", kbps=800.0))
+        table = cluster.pms["pm2"].external_inbound_kbps
+        table["app-x:dst"] = 50.0
+        cluster.start()
+        cluster.run(1.0)
+        assert list(table) == ["app-x:dst", "cluster:dst"]
+        table.pop("app-x:dst")
+        table["app-x:dst"] = 50.0  # re-added behind the router's entry
+        assert list(table) == ["cluster:dst", "app-x:dst"]
+        cluster.run(0.1)
+        assert list(table.items()) == [
+            ("app-x:dst", 50.0), ("cluster:dst", 800.0)
+        ]
 
     def test_double_start_rejected(self, cluster):
         cluster.start()

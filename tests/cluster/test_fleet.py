@@ -125,11 +125,23 @@ class TestModelShape:
         ):
             assert served <= offered + 1e-9
 
-    def test_epoch_series_cover_the_run(self):
-        config = _config()
+    @pytest.mark.parametrize(
+        "duration_s,epoch_s,last_time",
+        [
+            pytest.param(40.0, 10.0, 40.0, id="whole-epochs"),
+            # The horizon past the last tick holds no tick, so it must
+            # not become an epoch of its own.
+            pytest.param(20.5, 10.0, 20.0, id="partial-tick"),
+            # 21 / 1.4 rounds above 15 although 15 * 1.4 == 21.0.
+            pytest.param(21.0, 1.4, 21.0, id="rounded-quotient"),
+        ],
+    )
+    def test_epoch_series_cover_the_run(self, duration_s, epoch_s, last_time):
+        config = _config(duration_s=duration_s, epoch_s=epoch_s)
         summary = run_fleet(config)
         assert len(summary.epoch_time) == config.epochs
-        assert summary.epoch_time[-1] == pytest.approx(config.duration_s)
+        assert summary.epoch_time[-1] == last_time
+        assert all(offered > 0 for offered in summary.epoch_offered)
         assert summary.events == config.pms * _ticks(config)
 
     def test_migration_cap_bounds_each_epoch(self):
