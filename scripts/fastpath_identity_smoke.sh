@@ -4,7 +4,7 @@
 #   1. the default fast path (batched drain, steady-quantum memo,
 #      precompiled monitor sampling),
 #   2. the per-event reference path (REPRO_SIM_SLOWPATH=1),
-#   3. a parallel chunked run (--jobs 4 --chunk 2).
+#   3. a parallel run on the warm pool (--jobs 4).
 # fig5 runs single-PM cells only, so the reduced-scale fig10 (two-PM
 # RUBiS trials through the cluster router) is also diffed fast vs slow.
 #
@@ -26,8 +26,8 @@ echo "== slow path (REPRO_SIM_SLOWPATH=1) =="
 REPRO_SIM_SLOWPATH=1 python -m repro run fig5 --out "$SLOW" \
     > "$WORK/slow.log" 2>&1
 
-echo "== parallel chunked (--jobs 4 --chunk 2) =="
-python -m repro run fig5 --jobs 4 --chunk 2 --out "$PAR" \
+echo "== parallel (--jobs 4) =="
+python -m repro run fig5 --jobs 4 --out "$PAR" \
     > "$WORK/parallel.log" 2>&1
 
 echo "== fig10 --fast, fast and slow path =="

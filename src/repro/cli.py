@@ -48,13 +48,11 @@ Subcommands
 runtime determinism sanitizer (event tie-break assertions, per-stream
 RNG draw accounting, NaN guards on training inputs).  ``repro run``,
 ``repro all``, ``repro report`` and ``repro fleet`` accept ``--jobs N``
-(parallel cell
-execution over the warm process pool; 0 = all CPUs), ``--chunk N``
-(cells per worker task; 0 = cost-model default) and ``--cache-dir DIR``
-(content-addressed result cache) -- all preserve byte-identical
-output -- plus the
-crash-safety options: ``--run-dir DIR`` records a checkpointed run
-manifest, ``--resume DIR`` restores completed cells from one, and
+(parallel cell execution, one cell per task on the warm process pool;
+0 = all CPUs) and ``--cache-dir DIR`` (content-addressed result cache)
+-- both preserve byte-identical output -- plus the crash-safety
+options: ``--run-dir DIR`` records a checkpointed run manifest,
+``--resume DIR`` restores completed cells from one, and
 ``--cell-deadline`` / ``--cell-attempts`` tune the supervisor.
 ``--obs-dir DIR`` attaches the observability layer (metrics + spans)
 and exports it there after the run.  It only observes: the run steps
@@ -454,14 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_perf_options(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="run experiment cells over N worker processes (0 = all "
+        help="run experiment cells over N worker processes, one cell "
+        "per task on a warm pool reused across sweep phases (0 = all "
         "CPUs); output is byte-identical to serial",
-    )
-    sub_parser.add_argument(
-        "--chunk", type=int, default=None, metavar="N",
-        help="cells dispatched to a worker per pool task (0 = "
-        "deterministic cost-model default); larger chunks amortize "
-        "dispatch overhead, output stays byte-identical",
     )
     sub_parser.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",
@@ -553,7 +546,6 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
         # cache has its own dispatch.
         return _dispatch(args)
     jobs = getattr(args, "jobs", None)
-    chunk = getattr(args, "chunk", None)
     cache_dir = getattr(args, "cache_dir", None)
     resume_dir = getattr(args, "resume", None)
     run_dir = getattr(args, "run_dir", None) or resume_dir
@@ -589,7 +581,6 @@ def _with_perf_defaults(args: argparse.Namespace, raw_argv: List[str]) -> int:
     try:
         with execution_defaults(
             jobs=jobs,
-            chunk=chunk,
             cache=cache,
             manifest=manifest,
             resume=resume_dir is not None,

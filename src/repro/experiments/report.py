@@ -3,8 +3,9 @@
 Each table/figure carries (a) the paper's reported numbers (static,
 transcribed below) and (b) our measured values, harvested from the
 shape-check details of a live reproduction run.  ``repro report`` writes
-the document; the checked-in EXPERIMENTS.md is one such run at paper
-scale.
+the document; the checked-in EXPERIMENTS.md is exactly one such run at
+paper scale, so every sentence of it lives here and CI can regenerate
+the file and diff it byte for byte.
 """
 
 from __future__ import annotations
@@ -210,12 +211,19 @@ def generate_experiments_md(
         "sanitizer (`--sanitize`) asserts stable event tie-breaking and "
         "per-stream RNG draw counts while artifacts run, and a "
         "double-run regression test proves byte-identical reports with "
-        "identical draw counts per stream.",
+        "identical draw counts per stream. The lint pass is "
+        "whole-program, not just per-file: the cross-module REP1xx pack "
+        "(import/call-graph + taint analysis) proves that no call chain "
+        "launders a wall-clock read into the deterministic core, that "
+        "every RNG stream name is declared in the "
+        "`[tool.repro.lint.streams]` manifest with a single owner, and "
+        "that no pool-worker-reachable code mutates module state the "
+        "parent would never see — and `src/` is REP1xx-clean, so these "
+        "guarantees hold transitively for every number in this file.",
         "",
         "Determinism also makes the reproduction parallel and "
         "cacheable: `repro report --jobs N` fans experiment cells over "
-        "worker processes (batched `--chunk` tasks on a warm pool) and "
-        "`--cache-dir` serves repeated cells from a content-addressed "
+        "worker processes and `--cache-dir` serves repeated cells from a content-addressed "
         "cache — both byte-identical to a serial run (README § "
         "Parallel execution & caching). The numbers below were "
         "produced by the default fast-path simulation core (batched "
@@ -233,7 +241,9 @@ def generate_experiments_md(
         "cell behind checksummed artifacts and `--resume` (or `repro "
         "runs resume`) re-executes only what is missing — a resumed "
         "report is byte-identical to an uninterrupted one (README § "
-        "Crash safety & resume).",
+        "Crash safety & resume). Resumed reports additionally carry one "
+        "provenance line in this header, recording how many cells were "
+        "restored vs executed.",
         "",
         "Adding `--obs-dir DIR` records harness observability (metrics "
         "+ spans) alongside any run without changing a single output "

@@ -241,7 +241,6 @@ def _sample_workers(stream) -> WorkerPlan:
         stall_rate=float(stream.choice((0.0, 0.25))),
         stall_s=0.2,
         jobs=2,
-        chunk=int(stream.choice((2, 3))),
     )
 
 
@@ -557,7 +556,6 @@ def _run_workers(wp: WorkerPlan, workdir: Path) -> WorkersOutcome:
         got = run_cells(
             cells,
             jobs=wp.jobs,
-            chunk=wp.chunk,
             supervisor=SupervisorConfig(deadline_s=60.0, max_attempts=3),
         )
     finally:

@@ -129,7 +129,6 @@ class WorkerPlan:
     stall_rate: float
     stall_s: float
     jobs: int
-    chunk: int
 
     def __post_init__(self) -> None:
         if self.n_cells < 1:
@@ -143,8 +142,6 @@ class WorkerPlan:
             # A kill fault terminates the process running the cell;
             # inline execution would kill the supervisor itself.
             raise PlanError("kill faults require jobs >= 2")
-        if self.chunk < 0:
-            raise PlanError("chunk must be >= 0")
 
     def is_null(self) -> bool:
         """True when no worker can be killed or stalled."""
@@ -254,7 +251,6 @@ class FaultPlan:
                 "stall_rate": float(wp.stall_rate),
                 "stall_s": float(wp.stall_s),
                 "jobs": int(wp.jobs),
-                "chunk": int(wp.chunk),
             }
         return out
 
@@ -317,7 +313,6 @@ class FaultPlan:
                     stall_rate=float(wd["stall_rate"]),
                     stall_s=float(wd["stall_s"]),
                     jobs=int(wd["jobs"]),
-                    chunk=int(wd["chunk"]),
                 )
             return cls(
                 seed=int(body["seed"]),

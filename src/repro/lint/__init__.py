@@ -14,9 +14,7 @@ swallowed errors.  Two rule scopes share one registry:
   (:mod:`repro.lint.taint`) over it.
 
 The CLI (:mod:`repro.lint.cli`) adds SARIF 2.1.0 output
-(:mod:`repro.lint.sarif`), an incremental cache
-(:mod:`repro.lint.cache`) and mechanical autofixes
-(:mod:`repro.lint.fixes`).
+(:mod:`repro.lint.sarif`).
 
 Typical library use::
 
@@ -26,16 +24,12 @@ Typical library use::
     violations = engine.lint_paths([Path("src")])
 """
 
-from repro.lint.cache import LintCache
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintEngine, LintReport, lint_paths, lint_source
-from repro.lint.fixes import FIXABLE_CODES, fix_source
 from repro.lint.graph import ProjectGraph
 from repro.lint.rules import REGISTRY, Rule, Violation, all_rules
 
 __all__ = [
-    "FIXABLE_CODES",
-    "LintCache",
     "LintConfig",
     "LintEngine",
     "LintReport",
@@ -44,7 +38,6 @@ __all__ = [
     "Rule",
     "Violation",
     "all_rules",
-    "fix_source",
     "lint_paths",
     "lint_source",
     "load_config",

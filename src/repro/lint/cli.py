@@ -3,11 +3,11 @@
 Exit codes follow CI conventions: 0 clean, 1 violations found, 2 usage
 error (unknown path / unknown rule code).
 
-Output formats: ``text`` (human, plus optional per-rule statistics and
-cache counters), ``json`` (machine), ``sarif`` (SARIF 2.1.0, for
-GitHub code-scanning upload).  ``--cache-dir`` enables the incremental
-cache; ``--fix`` applies the mechanical autofixes (REP003/REP005)
-before reporting what remains.
+Output formats: ``text`` (human, plus optional per-rule statistics),
+``json`` (machine), ``sarif`` (SARIF 2.1.0, for GitHub code-scanning
+upload).  Every run analyzes every file (the whole-program graph needs
+all of them) and only reports: fixing a violation is left to the
+author.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.lint import sarif
-from repro.lint.cache import LintCache
 from repro.lint.config import load_config
 from repro.lint.engine import LintEngine
-from repro.lint.fixes import FIXABLE_CODES, fix_source
 from repro.lint.rules import REGISTRY, all_rules
 
 
@@ -72,25 +70,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "(default: ./pyproject.toml)",
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="enable the incremental cache: re-analyze only files whose "
-        "import-dependency closure changed since the cached run",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="report analyzed vs cache-replayed file counts",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical autofixes "
-        f"({', '.join(FIXABLE_CODES)}) before reporting",
-    )
-    parser.add_argument(
         "--statistics",
         action="store_true",
         help="append a per-rule violation count summary",
@@ -122,27 +101,6 @@ def _rule_table() -> str:
             f"{rule.code}  {rule.name:<20}  {rule.scope:<7}  {rule.summary}"
         )
     return "\n".join(lines)
-
-
-def _apply_fixes(engine: LintEngine, paths: Sequence[Path]) -> None:
-    """Rewrite fixable violations in place; summary goes to stderr so
-    machine-readable stdout (json/sarif) stays clean."""
-    fixed_total = 0
-    fixed_files = 0
-    for path in engine.walk(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        new, n = fix_source(source, path=path.as_posix(), config=engine.config)
-        if n and new != source:
-            path.write_text(new, encoding="utf-8")
-            fixed_total += n
-            fixed_files += 1
-    print(
-        f"--fix: rewrote {fixed_total} violation(s) in {fixed_files} file(s)",
-        file=sys.stderr,
-    )
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -178,10 +136,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 2
 
     engine = LintEngine(config)
-    if args.fix:
-        _apply_fixes(engine, paths)
-    cache = LintCache(args.cache_dir) if args.cache_dir is not None else None
-    report = engine.run(paths, cache=cache)
+    report = engine.run(paths)
     violations = report.violations
 
     if args.format == "json":
@@ -190,18 +145,9 @@ def run_from_args(args: argparse.Namespace) -> int:
             "count": len(violations),
             "violations": [v.as_dict() for v in violations],
         }
-        if args.stats:
-            payload["analyzed"] = report.analyzed
-            payload["cached"] = report.cached
         print(json.dumps(payload, indent=2))
     elif args.format == "sarif":
         print(sarif.render_text(violations, engine.rules()))
-        if args.stats:
-            print(
-                f"cache: {report.analyzed} analyzed, "
-                f"{report.cached} replayed",
-                file=sys.stderr,
-            )
     else:
         for v in violations:
             print(v.render())
@@ -215,11 +161,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             else f"clean: 0 violations in {len(report.files)} file(s)"
         )
         print(summary)
-        if args.stats:
-            print(
-                f"cache: {report.analyzed} file(s) analyzed, "
-                f"{report.cached} replayed from cache"
-            )
     return 1 if violations else 0
 
 

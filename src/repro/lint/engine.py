@@ -24,11 +24,6 @@ funnels), every noqa must name its code(s) and carry a justification
 after the bracket; violations report REP011 and are checked on the raw
 source line *after* suppression filtering -- a noqa comment can never
 silence the audit of itself.
-
-With a :class:`~repro.lint.cache.LintCache` attached, file-scope
-results replay from cache when a file's import-dependency closure is
-byte-identical to the previous run; project rules are recomputed every
-run from the (always freshly built) graph.
 """
 
 from __future__ import annotations
@@ -36,11 +31,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
-from repro.lint import cache as cache_mod
 from repro.lint.config import LintConfig
-from repro.lint.graph import ProjectGraph, module_name_for
+from repro.lint.graph import ProjectGraph
 from repro.lint.rules import (
     NOQA_RE,
     PARSE_ERROR_CODE,
@@ -68,14 +62,10 @@ _suppressions = noqa_suppressions
 
 @dataclass
 class LintReport:
-    """One lint run: sorted violations plus cache accounting."""
+    """One lint run: sorted violations plus the files it covered."""
 
     violations: List[Violation]
     files: List[Path]
-    #: Files whose rule pass actually ran this invocation.
-    analyzed: int = 0
-    #: Files whose file-scope results replayed from the cache.
-    cached: int = 0
 
 
 @dataclass
@@ -259,17 +249,12 @@ class LintEngine:
                 out.append(c)
         return out
 
-    def run(
-        self,
-        paths: Sequence[Path],
-        cache: Optional["cache_mod.LintCache"] = None,
-    ) -> LintReport:
+    def run(self, paths: Sequence[Path]) -> LintReport:
         """Lint files/trees in one whole-program pass.
 
-        Every file is read and parsed (the graph needs all of them);
-        the per-file rule pass is skipped for files whose cache key --
-        config digest plus the content hashes of their import-dependency
-        closure -- matches the attached ``cache``.
+        Every file is read and parsed once; the per-file rules run over
+        each parsed module and the project rules over the graph built
+        from all of them.
         """
         entries: List[_Entry] = []
         for path in self.walk(paths):
@@ -307,45 +292,17 @@ class LintEngine:
             [(e.posix, e.source, e.tree) for e in parsed], self.config
         )
 
-        cfg_digest = cache_mod.config_digest(
-            self.config, [r.code for r in self.rules()]
-        )
-        hashes = {
-            module_name_for(e.posix): cache_mod.file_digest(e.source)
-            for e in parsed
-        }
-
         report = LintReport(violations=[], files=[e.path for e in entries])
         for entry in entries:
             if entry.tree is None:
                 report.violations.extend(entry.parse_violations)
-                report.analyzed += 1
                 continue
-            key = None
-            if cache is not None:
-                closure = graph.dependency_closure(
-                    module_name_for(entry.posix)
-                )
-                key = cache_mod.closure_key(
-                    cfg_digest,
-                    [hashes[m] for m in sorted(closure) if m in hashes],
-                )
-                hit = cache.get(entry.posix, key)
-                if hit is not None:
-                    report.violations.extend(hit)
-                    report.cached += 1
-                    continue
-            found = self._file_scope(entry.source, entry.posix, entry.tree)
-            report.analyzed += 1
-            if cache is not None and key is not None:
-                cache.put(entry.posix, key, found)
-            report.violations.extend(found)
+            report.violations.extend(
+                self._file_scope(entry.source, entry.posix, entry.tree)
+            )
 
         report.violations.extend(self._project_scope(graph))
         report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-        if cache is not None:
-            cache.prune([e.posix for e in entries])
-            cache.save()
         return report
 
     def lint_paths(self, paths: Sequence[Path]) -> List[Violation]:

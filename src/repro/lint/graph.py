@@ -2,12 +2,11 @@
 
 :class:`ProjectGraph` parses every file of a lint run once and extracts
 the per-module facts the cross-module rule pack (REP101..REP106,
-:mod:`repro.lint.rules_xmod`) and the incremental cache need:
+:mod:`repro.lint.rules_xmod`) needs:
 
 * a project-wide **symbol table** of functions/methods keyed by dotted
   qualname (``repro.perf.executor._pool_worker``);
-* the **import graph** between project modules (and its strongly
-  connected components, for cache invalidation);
+* the **import graph** between project modules;
 * an approximate **call graph**: call sites are resolved through import
   aliases, local definitions, and ``self.method`` within a class; calls
   through arbitrary objects stay unresolved (documented approximation);
@@ -567,8 +566,6 @@ class ProjectGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         #: callee qualname -> set of caller qualnames.
         self.callers: Dict[str, Set[str]] = {}
-        #: module name -> modules that import it.
-        self.dependents: Dict[str, Set[str]] = {}
 
     # -- construction -----------------------------------------------
 
@@ -624,7 +621,6 @@ class ProjectGraph:
                 dep = self._module_prefix(origin)
                 if dep and dep != name:
                     mod.deps.add(dep)
-                    self.dependents.setdefault(dep, set()).add(name)
             # call sites -> project functions
             for fn in [*mod.functions.values(), mod.body]:
                 for site in fn.calls:
@@ -689,100 +685,3 @@ class ProjectGraph:
                     out[callee] = (entry, chain + (callee,))
                     queue.append(callee)
         return out
-
-    # -- import-graph condensation (incremental invalidation) -------
-
-    def sccs(self) -> List[Tuple[str, ...]]:
-        """Strongly connected components of the import graph, sorted."""
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-        out: List[Tuple[str, ...]] = []
-
-        def strongconnect(v: str) -> None:
-            # iterative Tarjan (module graphs are small but cycles and
-            # deep chains must not hit the recursion limit)
-            work = [(v, iter(sorted(self.modules[v].deps)))]
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in self.modules:
-                        continue
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(sorted(self.modules[w].deps))))
-                        advanced = True
-                        break
-                    elif w in on_stack:
-                        low[node] = min(low[node], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    out.append(tuple(sorted(comp)))
-
-        for v in sorted(self.modules):
-            if v not in index:
-                strongconnect(v)
-        return sorted(out)
-
-    def dependency_closure(self, module: str) -> FrozenSet[str]:
-        """``module`` plus every project module it transitively imports.
-
-        Computed on the SCC condensation, so import cycles terminate;
-        the closure of a cycle member includes the whole cycle.
-        """
-        if not hasattr(self, "_closures"):
-            self._closures: Dict[str, FrozenSet[str]] = {}
-            comp_of: Dict[str, Tuple[str, ...]] = {}
-            for comp in self.sccs():
-                for m in comp:
-                    comp_of[m] = comp
-            memo: Dict[Tuple[str, ...], FrozenSet[str]] = {}
-
-            def comp_closure(comp: Tuple[str, ...]) -> FrozenSet[str]:
-                if comp in memo:
-                    return memo[comp]
-                memo[comp] = frozenset(comp)  # cycle guard
-                acc: Set[str] = set(comp)
-                for m in comp:
-                    for dep in sorted(self.modules[m].deps):
-                        if dep in comp_of and comp_of[dep] != comp:
-                            acc |= comp_closure(comp_of[dep])
-                memo[comp] = frozenset(acc)
-                return memo[comp]
-
-            for comp in self.sccs():
-                closure = comp_closure(comp)
-                for m in comp:
-                    self._closures[m] = closure
-        return self._closures.get(module, frozenset({module}))
-
-    def dependents_closure(self, module: str) -> FrozenSet[str]:
-        """``module`` plus every module whose dependency closure
-        contains it (the set a change to ``module`` invalidates)."""
-        out = {
-            m for m in self.modules
-            if module in self.dependency_closure(m)
-        }
-        return frozenset(out)

@@ -5,12 +5,11 @@ descriptors and returns their values **in cell order, never completion
 order** -- with every cell seeded independently (a property the serial
 loops already had), parallel output is byte-identical to serial by
 construction.  ``jobs=1`` runs inline in the calling process (the
-serial path, zero overhead); ``jobs>1`` fans out over the **warm**
-process pool of :mod:`repro.perf.pool` -- spun up before the cache
-probe so worker start-up overlaps probing, kept alive across sweep
-phases, fed runs of ``--chunk`` cells per task (deterministic
-cost-model default) with the shared sanitize/obs context pre-pickled
-once per pool.
+serial path, zero overhead); ``jobs>1`` fans out one cell per task
+over the **warm** process pool of :mod:`repro.perf.pool` -- spun up
+before the cache probe so worker start-up overlaps probing, and kept
+alive across sweep phases.  The sanitize/obs flags travel with every
+task, so one pool serves plain, sanitized and observed fan-outs alike.
 
 Sanitizer accounting survives the fan-out: each worker runs its cell
 under the parent's sanitize default, harvests that cell's per-stream
@@ -87,29 +86,11 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def resolve_chunk(chunk: Optional[int], n_cells: int, jobs: int) -> int:
-    """Normalize ``--chunk``: explicit ``N`` wins, ``None``/``0`` -> model.
-
-    The cost model targets roughly four dispatch waves per worker:
-    large enough to amortize per-task submit/pickle/IPC overhead,
-    small enough that the tail of a sweep still load-balances.  A
-    fan-out that does not fill one wave per worker runs unchunked.
-    """
-    if chunk is None:
-        chunk = default_chunk()
-    if chunk and chunk > 0:
-        return int(chunk)
-    if jobs <= 1 or n_cells <= jobs:
-        return 1
-    return max(1, -(-n_cells // (jobs * 4)))
-
-
 # --------------------------------------------------------------------------
 # Process-wide execution defaults (wired up by the CLI).
 # --------------------------------------------------------------------------
 
 _default_jobs = 1
-_default_chunk = 0
 _default_cache: Optional[ResultCache] = None
 _default_manifest: Optional[RunManifest] = None
 _default_resume = False
@@ -125,17 +106,6 @@ def set_default_jobs(jobs: int) -> None:
     """Set the process-wide worker count (``repro ... --jobs N``)."""
     global _default_jobs
     _default_jobs = int(jobs)
-
-
-def default_chunk() -> int:
-    """Cells per pool task (``--chunk``); ``0`` selects the cost model."""
-    return _default_chunk
-
-
-def set_default_chunk(chunk: int) -> None:
-    """Set the process-wide chunk size (``repro ... --chunk N``)."""
-    global _default_chunk
-    _default_chunk = max(0, int(chunk))
 
 
 def default_cache() -> Optional[ResultCache]:
@@ -186,7 +156,6 @@ def set_default_supervisor(config: Optional[SupervisorConfig]) -> None:
 def execution_defaults(
     *,
     jobs: Optional[int] = None,
-    chunk: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     manifest: Optional[RunManifest] = None,
     resume: Optional[bool] = None,
@@ -195,12 +164,10 @@ def execution_defaults(
     """Temporarily install execution defaults (CLI / test scoping)."""
     prev = (
         _default_jobs, _default_cache, _default_manifest,
-        _default_resume, _default_supervisor, _default_chunk,
+        _default_resume, _default_supervisor,
     )
     if jobs is not None:
         set_default_jobs(jobs)
-    if chunk is not None:
-        set_default_chunk(chunk)
     if cache is not None:
         set_default_cache(cache)
     if manifest is not None:
@@ -217,7 +184,6 @@ def execution_defaults(
         set_default_manifest(prev[2])
         set_default_resume(prev[3])
         set_default_supervisor(prev[4])
-        set_default_chunk(prev[5])
 
 
 # --------------------------------------------------------------------------
@@ -298,24 +264,6 @@ def _pool_worker(
         obs.set_default(previous_obs)
 
 
-def _chunk_worker(cells: Sequence[Cell]) -> List[CellOutcome]:
-    """Pool entry point for one chunk of cells (picklable by name).
-
-    The sanitize/obs context comes from the warm pool's initializer --
-    shipped pre-pickled once per pool, never per task; outside a warm
-    pool the worker falls back to its own (fork-inherited) defaults.
-    Cells run sequentially, so the per-cell accounting deltas of
-    :func:`_sanitized_execute` stay exact.
-    """
-    context = warmpool.worker_context()
-    if context is None:
-        context = (sanitize.default_enabled(), obs.default_enabled())
-    sanitize_enabled, obs_enabled = context
-    return [
-        _pool_worker(cell, sanitize_enabled, obs_enabled) for cell in cells
-    ]
-
-
 def _merge_accounting(outcome: CellOutcome) -> None:
     """Fold a remote/cached cell's sanitizer accounting into this process.
 
@@ -355,7 +303,6 @@ def run_cells(
     cells: Sequence[Cell],
     *,
     jobs: Optional[int] = None,
-    chunk: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     phase: Optional[str] = None,
     manifest: Optional[RunManifest] = None,
@@ -373,11 +320,6 @@ def run_cells(
     jobs:
         Worker processes; ``None`` uses :func:`default_jobs`, ``<= 0``
         uses the machine's CPU count, ``1`` runs inline.
-    chunk:
-        Cells dispatched to a worker per pool task; ``None`` uses
-        :func:`default_chunk`, ``0`` picks the deterministic cost-model
-        default (see :func:`resolve_chunk`).  Chunking only batches the
-        transport -- outcomes still complete per cell, in cell order.
     cache:
         Optional :class:`ResultCache`; ``None`` uses the process-wide
         default (``--cache-dir``), which may itself be absent.
@@ -429,12 +371,11 @@ def run_cells(
     config = supervisor or default_supervisor()
     phase_name = phase or cells[0].group
 
-    context = (sanitize.default_enabled(), obs.default_enabled())
     if jobs > 1 and len(cells) > 1:
         # Spin the warm pool up now so worker start-up overlaps the
         # cache/checkpoint probe below (probe first, submit only the
         # misses into the already-running pool).
-        warmpool.prestart(jobs, context)
+        warmpool.prestart(jobs)
 
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
     hits = 0
@@ -501,7 +442,6 @@ def run_cells(
         # Cache/checkpoint hits may already form a consumable prefix.
         drain()
 
-    use_pool = jobs > 1 and len(missing) > 1
     with obs.span(
         "executor.run_cells", "executor",
         phase=phase_name, cells=len(cells), missing=len(missing),
@@ -510,18 +450,11 @@ def run_cells(
             [(i, cells[i]) for i in missing],
             jobs=jobs if len(missing) > 1 else 1,
             worker=_pool_worker,
-            worker_args=context,
+            worker_args=(sanitize.default_enabled(), obs.default_enabled()),
             execute_inline=_execute_cell,
             complete=complete,
             config=config,
             attempts_out=attempts,
-            chunk=resolve_chunk(chunk, len(missing), jobs),
-            chunk_worker=_chunk_worker,
-            pool_factory=(
-                (lambda workers: warmpool.get_pool(jobs, context))
-                if use_pool else None
-            ),
-            pool_discard=warmpool.discard if use_pool else None,
         )
 
     if manifest is not None:

@@ -2,18 +2,17 @@
 
 Building a ``ProcessPoolExecutor`` is the single largest fixed cost of
 a parallel sweep: every worker is a fresh interpreter fork that must
-re-import the simulation stack before it can run its first cell.  The
-plain executor paid that cost once *per fan-out*; a ``repro all`` run
-with a dozen sweeps paid it a dozen times.
+re-import the simulation stack before it can run its first cell.  A
+pool built per fan-out would pay that cost once per ``run_cells`` call,
+a dozen times in a ``repro all`` run with a dozen sweeps.
 
-This module keeps **one** module-level pool warm across fan-outs.  The
-pool is keyed by a *context signature* -- the worker count plus a
-digest of the pre-pickled shared context (the sanitize/observability
-defaults every worker needs) -- so a request with the same signature
-reuses the running workers and a request with a different one tears
-the old pool down first.  The shared context itself is pickled **once**
-and shipped to each worker through the pool initializer, not with
-every task.
+This module keeps **one** module-level pool warm across fan-outs,
+keyed by worker count alone: a request for the same count reuses the
+running workers, a request for a different count tears the old pool
+down first.  The pool carries no per-run context -- the sanitize and
+observability flags travel with every task as arguments of
+:func:`repro.perf.executor._pool_worker`, so a sanitized or observed
+fan-out reuses the workers of a plain one.
 
 Lifecycle:
 
@@ -30,66 +29,32 @@ Lifecycle:
 from __future__ import annotations
 
 import atexit
-import hashlib
-import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Optional, Tuple
+from typing import Optional
 
 from repro.obs import runtime as obs
 
 _pool: Optional[ProcessPoolExecutor] = None
-_signature: Optional[Tuple[int, str]] = None
+_workers: Optional[int] = None
 
 #: Executors dropped via :func:`discard` whose ``shutdown`` has not run
 #: yet -- :func:`shutdown_pool` reaps them so a discarded pool's
 #: manager thread cannot outlive the invocation.
 _discarded: list = []
 
-#: Worker-side shared context, set once per worker by the initializer.
-_worker_context: Optional[Tuple[Any, ...]] = None
 
+def get_pool(max_workers: int) -> ProcessPoolExecutor:
+    """The warm pool of ``max_workers`` workers.
 
-def _init_worker(blob: bytes) -> None:
-    """Pool initializer: unpack the pre-pickled shared context."""
-    global _worker_context
-    _worker_context = pickle.loads(blob)
-
-
-def worker_context() -> Optional[Tuple[Any, ...]]:
-    """The shared context inside a pool worker (``None`` elsewhere)."""
-    return _worker_context
-
-
-def context_blob(context: Tuple[Any, ...]) -> bytes:
-    """Pickle the shared context once, for the initializer and the key."""
-    return pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _sig(max_workers: int, blob: bytes) -> Tuple[int, str]:
-    return (max_workers, hashlib.sha256(blob).hexdigest())
-
-
-def get_pool(
-    max_workers: int, context: Tuple[Any, ...]
-) -> ProcessPoolExecutor:
-    """The warm pool for ``(max_workers, context)``.
-
-    Reuses the running pool when the signature matches; otherwise the
-    old pool is shut down and a fresh one built with ``context``
-    pre-pickled into its initializer.
+    Reuses the running pool when the worker count matches; otherwise
+    the old pool is shut down and a fresh one built.
     """
-    global _pool, _signature
-    blob = context_blob(context)
-    sig = _sig(max_workers, blob)
-    if _pool is not None and _signature == sig:
+    global _pool, _workers
+    if _pool is not None and _workers == max_workers:
         return _pool
     shutdown_pool()
-    _pool = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_init_worker,
-        initargs=(blob,),
-    )
-    _signature = sig
+    _pool = ProcessPoolExecutor(max_workers=max_workers)
+    _workers = max_workers
     return _pool
 
 
@@ -98,9 +63,7 @@ def _warmup() -> None:
     return None
 
 
-def prestart(
-    max_workers: int, context: Tuple[Any, ...]
-) -> ProcessPoolExecutor:
+def prestart(max_workers: int) -> ProcessPoolExecutor:
     """Build the pool and spawn its workers now, ahead of first submit.
 
     ``ProcessPoolExecutor`` spawns workers lazily on first submit, so we
@@ -115,7 +78,7 @@ def prestart(
     is never awaited and a failed submit leaves the pool cold but
     usable.
     """
-    pool = get_pool(max_workers, context)
+    pool = get_pool(max_workers)
     try:
         pool.submit(_warmup)
     except RuntimeError:
@@ -128,22 +91,22 @@ def prestart(
 def discard(pool: Optional[ProcessPoolExecutor] = None) -> None:
     """Drop the warm handle for a pool whose workers were terminated.
 
-    Called by the executor after the supervisor tore down a broken
-    pool (:func:`repro.perf.supervisor._terminate_workers` already
-    reclaimed the processes); the next :func:`get_pool` builds fresh.
+    Called by the supervisor after it tore down a broken pool
+    (:func:`repro.perf.supervisor._terminate_workers` already reclaimed
+    the processes); the next :func:`get_pool` builds fresh.
     The discarded executor is remembered so :func:`shutdown_pool` can
     still run its ``shutdown`` (releasing the manager thread) even
     though it is no longer the warm handle.  A ``pool`` argument that
     is not the current handle only joins that reap list.
     """
-    global _pool, _signature
+    global _pool, _workers
     target = pool if pool is not None else _pool
     if target is not None and not any(p is target for p in _discarded):
         _discarded.append(target)
     if pool is not None and pool is not _pool:
         return
     _pool = None
-    _signature = None
+    _workers = None
 
 
 def _shutdown_one(pool: ProcessPoolExecutor, *, wait: bool) -> None:
@@ -167,8 +130,8 @@ def shutdown_pool() -> None:
     that is already broken or was :func:`discard`-ed.  Discarded
     executors are reaped without waiting (their workers are gone).
     """
-    global _pool, _signature
-    pool, _pool, _signature = _pool, None, None
+    global _pool, _workers
+    pool, _pool, _workers = _pool, None, None
     stale, _discarded[:] = list(_discarded), []
     for executor in stale:
         _shutdown_one(executor, wait=False)

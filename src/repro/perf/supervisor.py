@@ -18,16 +18,10 @@ the process-pool fan-out of :func:`repro.perf.executor.run_cells` with
 * **graceful degradation to serial** -- when the pool keeps breaking,
   the remaining cells run inline in the supervising process, which can
   always make progress;
-* **chunked dispatch** -- with ``chunk > 1`` consecutive cells ship to
-  a worker as one task (amortizing submit/pickle/result overhead);
-  a chunk's deadline scales with its size, and a failed or timed-out
-  chunk is split and retried as singletons so the culprit cell is
-  isolated under its own unscaled deadline;
-* **warm-pool reuse** -- a caller-provided ``pool_factory`` supplies
-  the (shared, warm) pool instead of building one per wave; on clean
-  completion the pool is left running for the next fan-out, on
-  breakage its workers are terminated and ``pool_discard`` invalidates
-  the handle so the rebuild path constructs a fresh one.
+* **warm-pool reuse** -- cells run one per task on the shared warm
+  pool of :mod:`repro.perf.pool`; on clean completion the pool is left
+  running for the next fan-out, on breakage its workers are terminated
+  and the handle discarded so the rebuild path constructs a fresh one.
 
 None of this changes *what* a cell computes: a cell is a pure function
 of (code, configuration, seed), so a retry -- in a fresh worker or
@@ -51,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import runtime as _obs
+from repro.perf import pool as warmpool
 from repro.perf.cells import Cell
 
 
@@ -68,8 +63,6 @@ class SupervisorConfig:
     backoff_base_s: float = 0.05
     #: Fresh pools built after breakage before degrading to serial.
     max_pool_rebuilds: int = 2
-    #: Degrade to inline execution when the pool is unrecoverable.
-    serial_fallback: bool = True
 
     def backoff_s(self, attempt: int) -> float:
         """Deterministic delay before attempt number ``attempt`` (2-based)."""
@@ -100,27 +93,6 @@ class SupervisionStats:
     pool_rebuilds: int = 0
     #: 1 when the run degraded to inline execution.
     serial_fallbacks: int = 0
-
-    def merge(self, other: "SupervisionStats") -> None:
-        self.attempts += other.attempts
-        self.retries += other.retries
-        self.recovered.extend(other.recovered)
-        self.failed.extend(other.failed)
-        self.timeouts += other.timeouts
-        self.pool_rebuilds += other.pool_rebuilds
-        self.serial_fallbacks += other.serial_fallbacks
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-able form (embedded in BENCH records and summaries)."""
-        return {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "recovered": sorted(self.recovered),
-            "failed": [[label, error] for label, error in self.failed],
-            "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallbacks": self.serial_fallbacks,
-        }
 
     def summary(self) -> str:
         """One-line digest for the CLI's stderr warning."""
@@ -215,22 +187,6 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
 #: ``complete(index, outcome, from_pool)`` -- the executor's merge hook.
 CompleteFn = Callable[[int, Any, bool], None]
 
-#: One unit of pool dispatch: a run of consecutive ``(index, cell)``s.
-Group = List[Tuple[int, Cell]]
-
-
-def _chunked(pending: List[Tuple[int, Cell]], size: int) -> List[Group]:
-    """Group consecutive work items into dispatch units of ``size``."""
-    if size <= 1:
-        return [[item] for item in pending]
-    return [pending[k:k + size] for k in range(0, len(pending), size)]
-
-
-def _group_label(group: Group) -> str:
-    if len(group) == 1:
-        return group[0][1].label()
-    return f"chunk[{len(group)}@{group[0][1].label()}]"
-
 
 def run_supervised(
     pending: List[Tuple[int, Cell]],
@@ -242,27 +198,18 @@ def run_supervised(
     complete: CompleteFn,
     config: Optional[SupervisorConfig] = None,
     attempts_out: Optional[Dict[int, int]] = None,
-    chunk: int = 1,
-    chunk_worker: Optional[Callable[..., Any]] = None,
-    pool_factory: Optional[Callable[[int], ProcessPoolExecutor]] = None,
-    pool_discard: Optional[Callable[[ProcessPoolExecutor], None]] = None,
 ) -> List[Tuple[int, Cell, str]]:
     """Execute ``pending`` cells under supervision; return failures.
 
     ``worker`` is the picklable pool entry point, invoked as
-    ``worker(cell, *worker_args)``; ``execute_inline`` runs a cell in
-    the supervising process (serial path / degraded mode).  Completed
-    cells are reported through ``complete`` in completion order -- the
-    caller owns ordering, checkpointing and accounting.  Returns the
-    ``(index, cell, error)`` triples of cells that exhausted their
-    attempts; the caller decides whether that is fatal.
-
-    With ``chunk > 1`` and a ``chunk_worker``, runs of ``chunk``
-    consecutive cells are submitted as one task --
-    ``chunk_worker(cells_tuple)`` must return one outcome per cell, in
-    order.  ``pool_factory(workers)``, when given, supplies the pool
-    (the warm-pool path); a pool it supplied is left running on clean
-    completion and reported through ``pool_discard`` after breakage.
+    ``worker(cell, *worker_args)`` once per cell on the warm pool of
+    ``jobs`` workers (:func:`repro.perf.pool.get_pool`);
+    ``execute_inline`` runs a cell in the supervising process (serial
+    path / degraded mode).  Completed cells are reported through
+    ``complete`` in completion order -- the caller owns ordering,
+    checkpointing and accounting.  Returns the ``(index, cell, error)``
+    triples of cells that exhausted their attempts; the caller decides
+    whether that is fatal.
     """
     config = config or SupervisorConfig()
     baseline = (
@@ -280,10 +227,6 @@ def run_supervised(
             complete=complete,
             config=config,
             attempts_out=attempts_out,
-            chunk=chunk,
-            chunk_worker=chunk_worker,
-            pool_factory=pool_factory,
-            pool_discard=pool_discard,
         )
     finally:
         _publish_obs_counters(baseline)
@@ -321,10 +264,6 @@ def _run_supervised(
     complete: CompleteFn,
     config: SupervisorConfig,
     attempts_out: Optional[Dict[int, int]] = None,
-    chunk: int = 1,
-    chunk_worker: Optional[Callable[..., Any]] = None,
-    pool_factory: Optional[Callable[[int], ProcessPoolExecutor]] = None,
-    pool_discard: Optional[Callable[[ProcessPoolExecutor], None]] = None,
 ) -> List[Tuple[int, Cell, str]]:
     # ``attempts_out`` (when given) is maintained *live*, so the
     # caller's completion hook can record the attempt count that
@@ -336,9 +275,7 @@ def _run_supervised(
     ever_failed: Dict[int, bool] = {i: False for i, _ in pending}
     timed_out: Dict[int, bool] = {i: False for i, _ in pending}
     failures: List[Tuple[int, Cell, str]] = []
-    if chunk_worker is None:
-        chunk = 1
-    queue: List[Group] = _chunked(list(pending), chunk)
+    queue: List[Tuple[int, Cell]] = list(pending)
     rebuilds = 0
     serial = jobs <= 1
 
@@ -382,175 +319,99 @@ def _run_supervised(
             _succeed(i, cell, outcome, from_pool=False)
             return
 
-    def _fail_group(group: Group, error: str, requeue: List[Group]) -> None:
-        """Retry policy after one failed group attempt.
-
-        A singleton is requeued as-is; a failed chunk is split and its
-        members retried as singletons, isolating the culprit cell.
-        """
-        for i, cell in group:
-            ever_failed[i] = True
-            if attempts[i] >= config.max_attempts:
-                _giveup(i, cell, error)
-            else:
-                requeue.append([(i, cell)])
-
-    def _succeed_group(
-        group: Group, outcome: Any, requeue: List[Group]
+    def _fail(
+        i: int, cell: Cell, error: str, requeue: List[Tuple[int, Cell]]
     ) -> None:
-        if len(group) == 1:
-            i, cell = group[0]
-            _succeed(i, cell, outcome, from_pool=True)
-            return
-        results = (
-            list(outcome) if isinstance(outcome, (list, tuple)) else None
-        )
-        if results is None or len(results) != len(group):
-            _fail_group(
-                group,
-                f"chunk worker returned "
-                f"{type(outcome).__name__} instead of "
-                f"{len(group)} outcomes",
-                requeue,
-            )
-            return
-        for (i, cell), value in zip(group, results):
-            _succeed(i, cell, value, from_pool=True)
+        """Retry policy after one failed pool attempt."""
+        ever_failed[i] = True
+        if attempts[i] >= config.max_attempts:
+            _giveup(i, cell, error)
+        else:
+            requeue.append((i, cell))
 
     while queue:
         if serial:
-            for group in queue:
-                for i, cell in group:
-                    _run_inline(i, cell)
-            queue = []
+            for i, cell in queue:
+                _run_inline(i, cell)
             break
 
-        requeue: List[Group] = []
-        owns_pool = pool_factory is None
-        pool = (
-            ProcessPoolExecutor(max_workers=min(jobs, len(queue)))
-            if owns_pool
-            else pool_factory(min(jobs, len(queue)))
-        )
+        requeue: List[Tuple[int, Cell]] = []
+        pool = warmpool.get_pool(jobs)
         pool_broken = False
         try:
             futures = []
-            for qpos, group in enumerate(queue):
-                _backoff_sleep(config.backoff_s(attempts[group[0][0]] + 1))
-                for i, _ in group:
-                    _charge(i)
+            for qpos, (i, cell) in enumerate(queue):
+                _backoff_sleep(config.backoff_s(attempts[i] + 1))
+                _charge(i)
                 try:
-                    if len(group) == 1:
-                        future = pool.submit(
-                            worker, group[0][1], *worker_args
-                        )
-                    else:
-                        # Chunk context rides the pool initializer, not
-                        # the task payload (pre-pickled once per pool).
-                        future = pool.submit(
-                            chunk_worker, tuple(c for _, c in group)
-                        )
+                    future = pool.submit(worker, cell, *worker_args)
                 except BrokenExecutor:
                     # The pool died before accepting work; nothing from
                     # here on was attempted.
-                    for i, _ in group:
-                        _uncharge(i)
+                    _uncharge(i)
                     pool_broken = True
                     requeue.extend(queue[qpos:])
                     break
-                futures.append((group, future))
-            for group, future in futures:
+                futures.append((i, cell, future))
+            for i, cell, future in futures:
                 if pool_broken:
                     # The pool died under us: anything unfinished was
                     # never really attempted -- uncharge and requeue.
                     if future.done() and not future.cancelled():
-                        exc = future.exception()
-                        if exc is None:
-                            _succeed_group(group, future.result(), requeue)
+                        if future.exception() is None:
+                            _succeed(
+                                i, cell, future.result(), from_pool=True
+                            )
                             continue
-                    for i, _ in group:
-                        _uncharge(i)
-                    requeue.append(group)
+                    _uncharge(i)
+                    requeue.append((i, cell))
                     continue
-                deadline = config.deadline_s
-                if deadline is not None:
-                    # A chunk gets proportionally more wall time; its
-                    # members retry as singletons under the unscaled
-                    # deadline when it expires.
-                    deadline *= len(group)
                 try:
                     with _obs.span(
                         "supervisor.attempt", "supervisor",
-                        cell=_group_label(group),
-                        attempt=attempts[group[0][0]],
+                        cell=cell.label(), attempt=attempts[i],
                     ):
-                        outcome = future.result(timeout=deadline)
+                        outcome = future.result(timeout=config.deadline_s)
                 except FutureTimeoutError:
                     _stats.timeouts += 1
                     pool_broken = True
                     _terminate_workers(pool)
-                    if len(group) == 1:
-                        timed_out[group[0][0]] = True
-                        _fail_group(
-                            group,
-                            f"deadline of {config.deadline_s}s expired",
-                            requeue,
-                        )
-                    else:
-                        _fail_group(
-                            group,
-                            f"chunk deadline of {deadline}s expired",
-                            requeue,
-                        )
+                    timed_out[i] = True
+                    _fail(
+                        i, cell,
+                        f"deadline of {config.deadline_s}s expired",
+                        requeue,
+                    )
                 except BrokenExecutor as exc:
-                    # A worker died (SIGKILL/OOM/crash); this group may
+                    # A worker died (SIGKILL/OOM/crash); this cell may
                     # or may not have been the victim -- charge it (it
                     # was in flight) and requeue the rest uncharged.
                     pool_broken = True
-                    _fail_group(group, f"worker died: {exc}", requeue)
+                    _fail(i, cell, f"worker died: {exc}", requeue)
                 except Exception as exc:
                     # The cell itself raised inside a healthy worker.
-                    _fail_group(
-                        group, f"{type(exc).__name__}: {exc}", requeue
-                    )
+                    _fail(i, cell, f"{type(exc).__name__}: {exc}", requeue)
                 else:
-                    _succeed_group(group, outcome, requeue)
+                    _succeed(i, cell, outcome, from_pool=True)
         finally:
             if pool_broken:
                 _terminate_workers(pool)
-                if not owns_pool and pool_discard is not None:
-                    pool_discard(pool)
-            elif owns_pool:
-                pool.shutdown(wait=True)
+                warmpool.discard(pool)
 
         queue = requeue
         if queue and pool_broken:
             rebuilds += 1
             _stats.pool_rebuilds += 1
             if rebuilds > config.max_pool_rebuilds:
-                if not config.serial_fallback:
-                    for group in queue:
-                        for i, cell in group:
-                            _giveup(i, cell, "process pool unrecoverable")
-                    queue = []
-                else:
-                    _stats.serial_fallbacks += 1
-                    serial = True
-                    # A cell that already tripped the watchdog would
-                    # hang the supervising process itself inline.
-                    kept: List[Group] = []
-                    for group in queue:
-                        live = [
-                            (i, c) for i, c in group if not timed_out[i]
-                        ]
-                        for i, cell in group:
-                            if timed_out[i]:
-                                _giveup(
-                                    i, cell,
-                                    "deadline expired; not retried inline",
-                                )
-                        if live:
-                            kept.append(live)
-                    queue = kept
+                _stats.serial_fallbacks += 1
+                serial = True
+                # A cell that already tripped the watchdog would hang
+                # the supervising process itself inline.
+                for i, cell in queue:
+                    if timed_out[i]:
+                        _giveup(
+                            i, cell, "deadline expired; not retried inline"
+                        )
+                queue = [(i, c) for i, c in queue if not timed_out[i]]
 
     return failures

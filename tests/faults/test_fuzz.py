@@ -129,7 +129,7 @@ class TestCoverage:
             ),
             workers=WorkerPlan(
                 seed=2, n_cells=4, kill_rate=0.2, stall_rate=0.0,
-                stall_s=0.0, jobs=2, chunk=2,
+                stall_s=0.0, jobs=2,
             ),
         )
         assert plan_coverage(plan) == [
@@ -147,7 +147,7 @@ class TestOracles:
                 seed=1,
                 workers=WorkerPlan(
                     seed=2, n_cells=2, kill_rate=0.0, stall_rate=0.0,
-                    stall_s=0.0, jobs=1, chunk=0,
+                    stall_s=0.0, jobs=1,
                 ),
             ),
             workers=WorkersOutcome(
@@ -274,7 +274,7 @@ class TestShrinkMechanics:
             ),
             workers=WorkerPlan(
                 seed=2, n_cells=6, kill_rate=0.2, stall_rate=0.25,
-                stall_s=0.2, jobs=2, chunk=2,
+                stall_s=0.2, jobs=2,
             ),
         )
 

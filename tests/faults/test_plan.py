@@ -57,7 +57,7 @@ def _serve(**overrides) -> ServePlan:
 def _workers(**overrides) -> WorkerPlan:
     kwargs = dict(
         seed=13, n_cells=5, kill_rate=0.2, stall_rate=0.25,
-        stall_s=0.2, jobs=2, chunk=2,
+        stall_s=0.2, jobs=2,
     )
     kwargs.update(overrides)
     return WorkerPlan(**kwargs)

@@ -123,10 +123,10 @@ class TestFaultableCell:
         assert len(list(tmp_path.glob("*.tripped"))) == 2
 
 
-class TestChunkedDispatch:
-    """Once-marker semantics under ``--chunk``: a faulted cell inside a
-    chunk must fire exactly once even though the supervisor retries the
-    failed chunk by re-dispatching its cells as singletons."""
+class TestPoolDispatch:
+    """Once-marker semantics on the warm pool: a faulted cell must fire
+    exactly once even though the supervisor retries it (and requeues
+    the cells its dead worker took down with it)."""
 
     @pytest.fixture(autouse=True)
     def _clean_pool(self):
@@ -135,7 +135,7 @@ class TestChunkedDispatch:
         yield
         warmpool.shutdown_pool()
 
-    def _run_chunked(self, tmp_path, fault_index, fault_kind, **fault_kw):
+    def _run_pooled(self, tmp_path, fault_index, fault_kind, **fault_kw):
         from repro.perf import supervisor as _supervisor
         from repro.perf.executor import run_cells
         from repro.perf.supervisor import SupervisorConfig
@@ -147,7 +147,7 @@ class TestChunkedDispatch:
                 inner=inner,
                 marker_dir=str(tmp_path),
                 fault=fault_kind if i == fault_index else None,
-                tag=f"chunked{i}",
+                tag=f"pooled{i}",
                 **fault_kw,
             )
             for i, inner in enumerate(inners)
@@ -156,24 +156,21 @@ class TestChunkedDispatch:
         got = run_cells(
             cells,
             jobs=2,
-            chunk=2,
             supervisor=SupervisorConfig(deadline_s=60.0, max_attempts=3),
         )
         return expected, got, _supervisor.stats()
 
-    def test_kill_in_chunk_fires_once_and_results_match(self, tmp_path):
-        expected, got, stats = self._run_chunked(
-            tmp_path, 1, WORKER_KILL
-        )
-        # The chunk containing the killed cell died with the worker; on
-        # retry its cells are re-run, the marker suppresses a second
-        # kill, and every output equals the clean reference.
+    def test_kill_fires_once_and_results_match(self, tmp_path):
+        expected, got, stats = self._run_pooled(tmp_path, 1, WORKER_KILL)
+        # The killed cell died with its worker; on retry the marker
+        # suppresses a second kill, and every output equals the clean
+        # reference.
         assert got == expected
         assert len(list(tmp_path.glob("*.tripped"))) == 1
         assert stats.retries >= 1
 
-    def test_stall_in_chunk_fires_once_and_results_match(self, tmp_path):
-        expected, got, _stats = self._run_chunked(
+    def test_stall_fires_once_and_results_match(self, tmp_path):
+        expected, got, _stats = self._run_pooled(
             tmp_path, 2, WORKER_STALL, stall_s=0.05
         )
         assert got == expected
