@@ -10,24 +10,31 @@ Model
 -----
 The placement coordinator's VM -> PM index (``vm_pm`` plus per-PM
 template sums and counts) is the only record of which VM runs where.
+It is built by a streaming next-fit deploy that runs no Python per VM:
+numpy window sums give, for every VM at once, how many VMs in a row an
+empty PM would admit from it, so the walk over the fleet takes one
+Python step per PM (see :meth:`_Coordinator.deploy`).
+
 Each :data:`TICK_S` one vectorized step advances the fluid load model
 of the whole fleet: per-VM demand is the VM's peak-demand template
 scaled by the global open-loop load factor and a multiplicative noise
 draw (one ``(vms,)`` block per tick from the :data:`NOISE_STREAM`
 stream); per-PM demand sums come from ``np.bincount`` over the index;
 PM CPU requirement is guests + Dom0 + hypervisor via the linear
-overhead form (:class:`repro.placement.admission.LinearOverhead`); the
-served request rate degrades by ``capacity / required`` when a PM
-overloads.  A PM that stays overloaded for :data:`HOTSPOT_TICKS`
-consecutive ticks, hosts more than one VM and is out of its cooldown
-reports a *hotspot* naming its VM with the largest CPU template.
+overhead form of :class:`repro.placement.admission.LinearOverhead`
+(the same formula VOA admits with); the served request rate degrades
+by ``capacity / required`` when a PM overloads.  A PM that stays
+overloaded for :data:`HOTSPOT_TICKS` consecutive ticks, hosts more than
+one VM and is out of its cooldown reports a *hotspot* naming its VM
+with the largest CPU template.
 
 Residency changes only at epoch barriers.  At each barrier the
 coordinator consumes the epoch's hotspots in (time, PM index) order,
-skips stale ones, caps migrations per epoch, picks targets with the
-O(1) aggregate admission predicates of
-:class:`repro.placement.admission.AdmissionPolicy`, and moves the VMs
-in the index before the next epoch starts.
+skips stale ones, caps migrations per epoch (the hotspots past the cap
+are counted as rejected in one vector pass), picks targets with the
+aggregate admission predicate of
+:class:`repro.placement.admission.AdmissionPolicy` over all PMs at
+once, and moves the VMs in the index before the next epoch starts.
 
 Determinism: a run draws from exactly two named streams of one
 sanitizer-aware :class:`repro.sim.engine.Simulator` RNG registry --
@@ -73,6 +80,9 @@ COOLDOWN_S = 20.0
 DEPLOY_STREAM = "fleet.deploy"
 #: RNG stream of the demand noise (one ``(vms,)`` block per tick).
 NOISE_STREAM = "fleet.noise"
+#: VMs whose next-fit windows the deploy sums at once: bounds the
+#: window sums to ``RUN_BLOCK x 4`` floats (32 KB) at any fleet size.
+RUN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -206,7 +216,7 @@ class _Coordinator:
         self.vm_pm[vm] = -1
 
     def deploy(self) -> None:
-        """Streaming next-fit initial placement (O(vms + pms)).
+        """Streaming next-fit initial placement.
 
         The pointer only advances: a PM that rejects the current VM is
         not revisited for later (possibly smaller) ones -- the price of
@@ -214,29 +224,83 @@ class _Coordinator:
         end the fleet is full under this policy and the VM is forced
         onto the least-loaded PM by predicted required CPU (the
         :class:`~repro.placement.placer.Placer` fallback, scaled).
+
+        No Python runs per VM.  :meth:`_run_lengths` answers, for a
+        block of VMs at once, how many VMs in a row an empty PM would
+        admit from each; the pointer then walks one step per PM, and
+        each PM's sum is folded slot by slot in VM order, bit for bit
+        the ``sums[pm] += template`` of a per-VM loop.  Cost: one numpy
+        pass over the VMs per VM a PM can hold -- the memory budget
+        bounds that at 16 under VOU and 13 under VOA -- then O(pms)
+        Python steps, then one ``argmin`` over the PMs per forced VM,
+        which updates the one ``required`` entry it changed.
         """
-        pointer = 0
-        pms = self.config.pms
-        for vm in range(self.config.vms):
-            template = self.templates[vm]
-            while pointer < pms and not self.policy.admits(
-                self.sums[pointer], template
-            ):
-                pointer += 1
-            if pointer < pms:
-                self.place(vm, pointer)
-                continue
-            required = self.policy.overhead.required_cpu_array(self.sums)
-            self.place(vm, int(np.argmin(required)))
-            self.placed_forced += 1
+        vms, pms = self.config.vms, self.config.pms
+        first = np.empty(pms, dtype=np.int64)
+        vm = used = 0
+        lo, run = 0, self._run_lengths(0)
+        while vm < vms and used < pms:
+            if vm >= lo + run.size:
+                lo, run = vm, self._run_lengths(vm)
+            taken = int(run[vm - lo])
+            if not taken:
+                break
+            first[used] = vm
+            self.counts[used] = taken
+            self.vm_pm[vm:vm + taken] = used
+            vm += taken
+            used += 1
+        counts = self.counts[:used]
+        for slot in range(int(counts.max()) if used else 0):
+            rows = np.flatnonzero(counts > slot)
+            self.sums[rows] += self.templates[first[rows] + slot]
+        if vm == vms:
+            return
+        # Every PM from the pointer on is empty and rejects this VM as
+        # the first one rejected it: the rest of the fleet is forced.
+        overhead = self.policy.overhead
+        sums = self.sums
+        required = overhead.required_cpu_array(
+            sums[:, CPU], sums[:, IO], sums[:, BW]
+        )
+        for forced in range(vm, vms):
+            pm = int(np.argmin(required))
+            self.place(forced, pm)
+            required[pm] = overhead.required_cpu_array(
+                sums[pm, CPU], sums[pm, IO], sums[pm, BW]
+            )
+        self.placed_forced = vms - vm
+
+    def _run_lengths(self, lo: int) -> np.ndarray:
+        """How many VMs in a row an empty PM admits from each of the
+        :data:`RUN_BLOCK` VMs starting at ``lo``.
+
+        ``joined`` holds each start's window sum, accumulated in VM
+        order; the windows grow one VM per pass until no start's PM
+        admits the next VM.
+        """
+        templates, fits = self.templates, self.policy.fits
+        vms = len(templates)
+        joined = templates[lo:lo + RUN_BLOCK].copy()
+        alive = fits(joined)
+        run = np.zeros(alive.size, dtype=np.int64)
+        width = 0
+        while alive.any():
+            run[:alive.size] += alive
+            width += 1
+            rows = min(alive.size, vms - lo - width)
+            window = joined[:rows]
+            np.add(window, templates[lo + width:lo + width + rows],
+                   out=window)
+            alive = alive[:rows] & fits(window)
+        return run
 
     def find_target(self, template: np.ndarray,
                     exclude: int) -> Optional[int]:
         mask = self.policy.admits_array(self.sums, template)
         mask[exclude] = False
-        if not mask.any():
-            return None
-        return int(np.argmax(mask))
+        target = int(mask.argmax())
+        return target if mask[target] else None
 
     def victims(self) -> np.ndarray:
         """Each PM's resident with the largest CPU template (-1: empty)."""
@@ -248,16 +312,21 @@ class _Coordinator:
         """Act on one epoch's hotspots in order; return migrations made.
 
         ``victim`` is the epoch's :meth:`victims`, from before any of
-        this barrier's moves.
+        this barrier's moves.  Once the per-epoch cap is reached no VM
+        moves, so every later hotspot that is not stale is rejected.
         """
         scheduled = 0
-        for pm in hot_pms:
+        cap = self.config.max_migrations_per_epoch
+        for n, pm in enumerate(hot_pms):
+            if scheduled >= cap:
+                rest = np.array(hot_pms[n:], dtype=np.int64)
+                self.migrations_rejected += int(
+                    np.count_nonzero(self.vm_pm[victim[rest]] == rest)
+                )
+                break
             vm = int(victim[pm])
             if int(self.vm_pm[vm]) != pm:
                 continue  # stale: the VM already migrated away
-            if scheduled >= self.config.max_migrations_per_epoch:
-                self.migrations_rejected += 1
-                continue
             dst = self.find_target(self.templates[vm], exclude=pm)
             if dst is None:
                 self.migrations_rejected += 1
@@ -270,8 +339,9 @@ class _Coordinator:
 
 
 def _draw_templates(vms: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-VM peak-demand templates ``[cpu, mem, io, bw]``."""
-    templates = np.empty((vms, 4), dtype=float)
+    """Per-VM peak-demand templates ``[cpu, mem, io, bw]``, stored
+    column-major so the per-tick demand reads contiguous columns."""
+    templates = np.empty((vms, 4), dtype=float, order="F")
     templates[:, CPU] = rng.uniform(*VM_CPU_PCT, size=vms)
     templates[:, IO] = rng.uniform(*VM_IO_BPS, size=vms)
     templates[:, BW] = rng.uniform(*VM_BW_KBPS, size=vms)
@@ -335,7 +405,9 @@ def run_fleet(config: FleetConfig) -> FleetSummary:
                         vm_pm, weights=templates[:, col] * scale,
                         minlength=pms,
                     )
-                required = policy.overhead.required_cpu_array(demand)
+                required = policy.overhead.required_cpu_array(
+                    demand[:, CPU], demand[:, IO], demand[:, BW]
+                )
                 offered_pm = (rate_scale * rho) * weight
                 offered += float(offered_pm.sum()) * TICK_S
                 served += float(

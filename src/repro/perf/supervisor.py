@@ -39,7 +39,7 @@ rule for this file.
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -338,6 +338,9 @@ def _run_supervised(
         requeue: List[Tuple[int, Cell]] = []
         pool = warmpool.get_pool(jobs)
         pool_broken = False
+        # Set when submit saw the pool die: the worker's death then
+        # still has to be charged to one in-flight cell.
+        death_uncharged = False
         try:
             futures = []
             for qpos, (i, cell) in enumerate(queue):
@@ -349,19 +352,33 @@ def _run_supervised(
                     # The pool died before accepting work; nothing from
                     # here on was attempted.
                     _uncharge(i)
-                    pool_broken = True
+                    pool_broken = death_uncharged = True
                     requeue.extend(queue[qpos:])
                     break
                 futures.append((i, cell, future))
+            if death_uncharged:
+                # The executor flags itself broken before it fails the
+                # in-flight futures: let it finish, so the cell whose
+                # worker died is among the failed ones.
+                wait([f for _, _, f in futures], timeout=config.deadline_s)
             for i, cell, future in futures:
                 if pool_broken:
                     # The pool died under us: anything unfinished was
                     # never really attempted -- uncharge and requeue.
                     if future.done() and not future.cancelled():
-                        if future.exception() is None:
+                        error = future.exception()
+                        if error is None:
                             _succeed(
                                 i, cell, future.result(), from_pool=True
                             )
+                            continue
+                        if death_uncharged and isinstance(
+                            error, BrokenExecutor
+                        ):
+                            # As on the result path below: the first
+                            # cell the death failed keeps its attempt.
+                            death_uncharged = False
+                            _fail(i, cell, f"worker died: {error}", requeue)
                             continue
                     _uncharge(i)
                     requeue.append((i, cell))

@@ -8,18 +8,21 @@ vectors plus the resident count -- and both placement strategies
 reduce to affine functions of that aggregate:
 
 * **VOU** (overhead-unaware) admits while the guest CPU sum fits the
-  *nominal* hardware capacity and guest memory plus the Dom0 working
-  set fits physical RAM -- exactly the check that ignores where Dom0
-  and hypervisor cycles come from.
+  *nominal* hardware capacity and guest memory fits physical RAM --
+  exactly the check that ignores where Dom0 and hypervisor cycles and
+  memory come from.
 * **VOA** (overhead-aware) admits while the *predicted PM* CPU --
   guests plus Dom0 plus hypervisor via the linear form of the paper's
-  Eq. (3) -- fits the effective (schedulable) capacity with headroom.
+  Eq. (3) -- fits the effective (schedulable) capacity with headroom,
+  and guest memory fits what the Dom0 working set leaves of RAM.
 
 :class:`LinearOverhead` carries the linear rates of the Xen
 calibration (the convex/batching refinements matter for per-PM
 accuracy, not for capacity planning), so a check is a handful of
-multiply-adds and the vectorized variants answer "which of these 1000
-PMs admit this VM?" in one numpy pass.
+multiply-adds.  One predicate, :meth:`AdmissionPolicy.fits`, answers
+for one aggregate or for many rows at once, and
+:meth:`AdmissionPolicy.admits_array` answers "which of these 1000 PMs
+admit this VM?" in one numpy pass through the same test.
 
 Demand vectors are ``[cpu_pct, mem_mb, io_bps, bw_kbps]`` (the
 :data:`CPU` .. :data:`BW` column order used across the fleet modules).
@@ -43,10 +46,9 @@ CPU, MEM, IO, BW = 0, 1, 2, 3
 class LinearOverhead:
     """Dom0 + hypervisor CPU as an affine function of aggregate demand.
 
-    ``overhead_cpu = base + cpu_rate*sum_cpu + io_rate*sum_io +
-    bw_rate*sum_bw`` -- the linear rates of
-    :class:`repro.xen.calibration.XenCalibration`, Dom0 and hypervisor
-    folded together.
+    The linear rates of :class:`repro.xen.calibration.XenCalibration`,
+    Dom0 and hypervisor folded together; :meth:`required_cpu_array` adds
+    them to the guests' own CPU.
     """
 
     base: float
@@ -66,25 +68,18 @@ class LinearOverhead:
             bw_rate=cal.dom0_net_pct_per_kbps + cal.hyp_net_pct_per_kbps,
         )
 
-    def overhead_cpu(self, sum_m: np.ndarray) -> float:
-        """Virtualization CPU (pct points) for one aggregate vector."""
-        return (
-            self.base
-            + self.cpu_rate * float(sum_m[CPU])
-            + self.io_rate * float(sum_m[IO])
-            + self.bw_rate * float(sum_m[BW])
-        )
+    def required_cpu_array(self, cpu, io, bw):
+        """Guests + Dom0 + hypervisor CPU (pct points), elementwise over
+        aggregate CPU, IO and BW sums (arrays or scalars).
 
-    def required_cpu(self, sum_m: np.ndarray) -> float:
-        """Guests + Dom0 + hypervisor CPU for one aggregate vector."""
-        return float(sum_m[CPU]) + self.overhead_cpu(sum_m)
-
-    def required_cpu_array(self, sums: np.ndarray) -> np.ndarray:
-        """:meth:`required_cpu` for a ``(pms, 4)`` aggregate matrix."""
+        The only copy of the affine form: admission and the fleet's
+        overload judge both call it, so they add the same terms in the
+        same order and agree bit for bit on every aggregate.
+        """
         return (
-            sums[:, CPU] * (1.0 + self.cpu_rate)
-            + sums[:, IO] * self.io_rate
-            + sums[:, BW] * self.bw_rate
+            cpu * (1.0 + self.cpu_rate)
+            + io * self.io_rate
+            + bw * self.bw_rate
             + self.base
         )
 
@@ -130,22 +125,31 @@ class AdmissionPolicy:
             return float(self.machine.mem_mb)
         return float(self.machine.mem_mb) - self.dom0_mem_mb
 
-    def admits(self, sum_m: np.ndarray, template: np.ndarray) -> bool:
-        """Would a PM with aggregate ``sum_m`` admit ``template``?"""
-        joined = sum_m + template
-        if float(joined[MEM]) > self.mem_budget_mb:
-            return False
-        if self.strategy == VOU:
-            return float(joined[CPU]) <= self.cpu_budget_pct
-        return self.overhead.required_cpu(joined) <= self.cpu_budget_pct
+    def fits(self, joined: np.ndarray):
+        """Do aggregates ``joined`` fit the strategy's budgets?
+
+        ``joined`` is one PM aggregate with the candidate VM already
+        added -- a ``(4,)`` vector, or ``(n, 4)`` rows answered row by
+        row.
+        """
+        return self._fits(lambda col: joined[..., col])
 
     def admits_array(
         self, sums: np.ndarray, template: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`admits` over a ``(pms, 4)`` matrix."""
-        joined = sums + template[np.newaxis, :]
-        fits_mem = joined[:, MEM] <= self.mem_budget_mb
-        if self.strategy == VOU:
-            return fits_mem & (joined[:, CPU] <= self.cpu_budget_pct)
-        required = self.overhead.required_cpu_array(joined)
-        return fits_mem & (required <= self.cpu_budget_pct)
+        """Which PMs of a ``(pms, 4)`` aggregate matrix admit ``template``:
+        :meth:`fits` of ``sums + template``, joined one column at a time
+        (only the columns the strategy reads, no ``(pms, 4)`` temporary).
+        """
+        return self._fits(lambda col: sums[:, col] + template[col])
+
+    def _fits(self, joined):
+        """The budget test over ``joined(col)``, a joined aggregate column."""
+        ok = joined(MEM) <= self.mem_budget_mb
+        cpu = joined(CPU)
+        if self.strategy == VOA:
+            cpu = self.overhead.required_cpu_array(
+                cpu, joined(IO), joined(BW)
+            )
+        ok &= cpu <= self.cpu_budget_pct
+        return ok

@@ -9,12 +9,15 @@ byte-for-byte against a clean run.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
 from repro.faults.workers import WORKER_KILL, WORKER_STALL, FaultableCell
+from repro.perf import pool as warmpool
 from repro.perf.cells import Cell, MicrobenchCell
 from repro.perf.executor import run_cells
 from repro.perf.manifest import RunManifest
@@ -22,6 +25,7 @@ from repro.perf.supervisor import (
     CellExecutionError,
     SupervisorConfig,
     reset_stats,
+    run_supervised,
     stats,
 )
 from repro.sim import sanitize
@@ -58,6 +62,33 @@ class BoomCell(Cell):
 
     def label(self) -> str:
         return f"boom[{self.ident}]"
+
+
+class ScriptedPool:
+    """A stand-in executor whose submits follow a script, in-process.
+
+    ``"ok"`` runs the worker and returns its finished future;
+    ``"died"`` returns a future its worker's death already failed;
+    ``"broken"`` raises from ``submit`` itself, as a pool does once it
+    has noticed a dead worker.
+    """
+
+    def __init__(self, script: List[str]) -> None:
+        self.script = list(script)
+
+    def submit(self, fn, *args) -> Future:
+        step = self.script.pop(0)
+        if step == "broken":
+            raise BrokenProcessPool("the pool is not usable anymore")
+        future: Future = Future()
+        if step == "died":
+            future.set_exception(BrokenProcessPool("worker terminated"))
+        else:
+            future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        return None
 
 
 @pytest.fixture(autouse=True)
@@ -97,6 +128,38 @@ class TestCrashedWorker:
         assert s.pool_rebuilds >= 1
         assert s.recovered
         assert s.failed == []
+
+    def test_death_seen_by_submit_costs_the_failed_cell_an_attempt(
+        self, monkeypatch
+    ):
+        # Cell 0's worker dies; the pool reports it to the submit of
+        # cell 1, before any result is read.  The rebuilt pool is clean.
+        pools = [ScriptedPool(["died", "broken"]), ScriptedPool(["ok", "ok"])]
+        monkeypatch.setattr(warmpool, "get_pool", lambda jobs: pools.pop(0))
+        monkeypatch.setattr(warmpool, "discard", lambda pool=None: None)
+        cells = _cells(2)
+        done: Dict[int, Any] = {}
+
+        def complete(i: int, outcome: Any, from_pool: bool) -> None:
+            done[i] = outcome
+
+        failures = run_supervised(
+            list(enumerate(cells)),
+            jobs=2,
+            worker=lambda cell: cell.label(),
+            worker_args=(),
+            execute_inline=lambda cell: cell.label(),
+            complete=complete,
+            config=QUICK,
+        )
+        assert failures == []
+        assert done == {i: cell.label() for i, cell in enumerate(cells)}
+        s = stats()
+        # Cell 0 ran twice, cell 1 once (its refused submit is no attempt).
+        assert s.attempts == 3
+        assert s.retries == 1
+        assert s.pool_rebuilds == 1
+        assert s.recovered == [cells[0].label()]
 
     def test_hung_worker_trips_deadline_and_is_retried(self, tmp_path):
         clean = run_cells(_cells(2), jobs=1)
